@@ -1,19 +1,17 @@
-"""E22 — large-scale planning: the vectorized Fig. 1 heuristic.
+"""E22 — large-scale planning: the Fig. 1 heuristic's float kernel.
 
 Production location areas have hundreds of cells; this benchmark shows the
-numpy planner handles c = 800 with a 5-round budget comfortably and agrees
-with the pure-Python reference where both run.
+``heuristic`` registry entry (the batched kernel at batch size one) handles
+c = 800 with a 5-round budget comfortably and agrees with the pure-Python
+reference where both run.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    PagingInstance,
-    conference_call_heuristic,
-    conference_call_heuristic_fast,
-)
+from repro.core import PagingInstance, conference_call_heuristic
 from repro.experiments.tables import ExperimentTable
+from repro.solvers import get_solver
 
 
 def _instance(num_cells, num_devices=4, max_rounds=5, seed=22):
@@ -25,8 +23,8 @@ def _instance(num_cells, num_devices=4, max_rounds=5, seed=22):
 @pytest.mark.parametrize("num_cells", [200, 800])
 def test_e22_fast_planner(benchmark, num_cells):
     instance = _instance(num_cells)
-    result = benchmark(conference_call_heuristic_fast, instance)
-    assert sum(result.group_sizes) == num_cells
+    result = benchmark(get_solver("heuristic"), instance)
+    assert sum(result.extras["group_sizes"]) == num_cells
 
 
 def test_e22_agreement_table(benchmark, record_table):
@@ -39,7 +37,7 @@ def test_e22_agreement_table(benchmark, record_table):
         for c in (50, 120, 250):
             instance = _instance(c)
             reference = conference_call_heuristic(instance)
-            fast = conference_call_heuristic_fast(instance)
+            fast = get_solver("heuristic")(instance)
             table.add_row(
                 c,
                 float(reference.expected_paging),

@@ -5,8 +5,10 @@ baseline.  This module times the named kernel pairs on pinned seeds —
 
 * scalar vs vectorized Monte Carlo (:mod:`repro.core.expected_paging` vs
   :mod:`repro.core.batch`) on an E22-scale instance,
-* the reference Lemma 4.7 planner (:mod:`repro.core.dp` via the Fig. 1
-  heuristic) vs the numpy planner (:mod:`repro.core.fast`),
+* the pure-Python Fig. 1 reference (:mod:`repro.core.dp` via
+  :func:`~repro.core.heuristic.conference_call_heuristic`) vs the
+  ``heuristic`` registry entry on the same float instance — the batched
+  kernel at batch size one, the path every float caller takes,
 * scalar strategy scoring vs :func:`repro.core.batch.expected_paging_batch`,
 * the serial vs parallel experiment runner,
 * a sweep over the ``repro.solvers`` registry: every no-required-option
@@ -193,16 +195,13 @@ def _random_strategies(cells: int, rounds: int, count: int) -> List["object"]:
 
 
 def _bench_monte_carlo(config: Dict[str, int], repeats: int) -> List[BenchmarkTiming]:
-    from .core import (
-        conference_call_heuristic_fast,
-        expected_paging_monte_carlo,
-        expected_paging_monte_carlo_fast,
-    )
+    from .core import expected_paging_monte_carlo, expected_paging_monte_carlo_fast
+    from .solvers import get_solver
 
     instance = _bench_instance(
         int(config["devices"]), int(config["cells"]), int(config["rounds"])
     )
-    strategy = conference_call_heuristic_fast(instance).strategy
+    strategy = get_solver("heuristic")(instance).strategy
     trials = int(config["trials"])
     params = dict(config)
 
@@ -228,7 +227,8 @@ def _bench_monte_carlo(config: Dict[str, int], repeats: int) -> List[BenchmarkTi
 
 
 def _bench_planner(config: Dict[str, int], repeats: int) -> List[BenchmarkTiming]:
-    from .core import conference_call_heuristic, conference_call_heuristic_fast
+    from .core import conference_call_heuristic
+    from .solvers import get_solver
 
     instance = _bench_instance(
         int(config["devices"]), int(config["cells"]), int(config["rounds"])
@@ -241,21 +241,22 @@ def _bench_planner(config: Dict[str, int], repeats: int) -> List[BenchmarkTiming
     # ran second.  The BENCH_0 -> BENCH_1 planner_reference ~18 ms ->
     # ~24 ms "regression" was exactly that bias (docs/performance.md).
     reference = lambda: conference_call_heuristic(instance)  # noqa: E731
-    fast = lambda: conference_call_heuristic_fast(instance)  # noqa: E731
+    heuristic = get_solver("heuristic")
+    registry = lambda: heuristic(instance)  # noqa: E731
     reference()
-    fast()
+    registry()
     reference_times: List[float] = []
-    fast_times: List[float] = []
+    registry_times: List[float] = []
     for _ in range(repeats):
         start = time.perf_counter()
         reference()
         reference_times.append(time.perf_counter() - start)
         start = time.perf_counter()
-        fast()
-        fast_times.append(time.perf_counter() - start)
+        registry()
+        registry_times.append(time.perf_counter() - start)
     return [
         BenchmarkTiming("planner_reference", params, reference_times),
-        BenchmarkTiming("planner_fast", params, fast_times),
+        BenchmarkTiming("planner_heuristic", params, registry_times),
     ]
 
 
@@ -263,7 +264,7 @@ def _bench_batch_plan(config: Dict[str, int], repeats: int) -> List[BenchmarkTim
     """One ``plan_batch`` row per available backend, same shape as planner.
 
     The derived ``planner_batch_speedup`` is *per instance*: the scalar
-    ``planner_fast`` time divided by the batched time over ``batch``.
+    ``planner_heuristic`` time divided by the batched time over ``batch``.
     """
     from .core import available_backends, plan_batch
 
@@ -598,11 +599,11 @@ def run_benchmarks(profile: str = "full") -> Dict[str, object]:
     contention_timings = _bench_contention(sizes["contention"], repeats)  # type: ignore[arg-type]
     timings += contention_timings
     by_name = {timing.name: timing for timing in timings}
-    # Per-instance speedup of the best batched backend over planner_fast.
+    # Per-instance speedup of the best batched backend over one scalar call.
     best_per_instance = min(
         timing.min_s / int(timing.params["batch"]) for timing in batch_plan_timings
     )
-    planner_batch_speedup = by_name["planner_fast"].min_s / max(
+    planner_batch_speedup = by_name["planner_heuristic"].min_s / max(
         best_per_instance, 1e-12
     )
     return {
@@ -615,7 +616,6 @@ def run_benchmarks(profile: str = "full") -> Dict[str, object]:
             "monte_carlo_speedup": _speedup(
                 by_name, "monte_carlo_scalar", "monte_carlo_fast"
             ),
-            "planner_speedup": _speedup(by_name, "planner_reference", "planner_fast"),
             "planner_batch_speedup": planner_batch_speedup,
             "batch_eval_speedup": _speedup(
                 by_name, "batch_eval_scalar", "batch_eval_batch"

@@ -255,17 +255,14 @@ class ResilientPager:
         pager: str,
         injector: FaultInjector,
         policy: Optional[RecoveryPolicy] = None,
-        *,
-        planner_solver: str = "heuristic",
     ) -> None:
         if pager not in ("blanket", "heuristic", "adaptive"):
             raise SimulationError(f"unknown base pager {pager!r}")
         self._pager = pager
         self._injector = injector
         self._policy = policy if policy is not None else DEFAULT_RECOVERY
-        # Non-blanket plans come from the solver registry by name, so a
-        # deployment can swap the planning policy without touching this class.
-        self._planner = get_solver(planner_solver)
+        # Non-blanket plans come from the registry's Fig. 1 heuristic.
+        self._planner = get_solver("heuristic")
 
     @property
     def policy(self) -> RecoveryPolicy:

@@ -125,16 +125,14 @@ class BlanketPager:
 class HeuristicPager:
     """The paper's e/(e-1) strategy within the delay budget.
 
-    The planner is looked up in the solver registry (``repro.solvers``) so
-    deployments can swap policies by name without touching the pager.
+    Plans come from the ``heuristic`` registry entry (``repro.solvers``),
+    whose float path is the batched Fig. 1 kernel.
     """
 
     name = "heuristic"
-    planner_solver = "heuristic"
 
-    def __init__(self, planner_solver: str = "heuristic") -> None:
-        self.planner_solver = planner_solver
-        self._planner = get_solver(planner_solver)
+    def __init__(self) -> None:
+        self._planner = get_solver("heuristic")
 
     def search(
         self,
@@ -164,12 +162,9 @@ class HeuristicPager:
         """Page many concurrent calls over one candidate set.
 
         The paging-controller shape: one location area, a stack of calls,
-        one plan per call.  When the configured planner has a batched
-        entry point (``supports_batch``, e.g. the ``"heuristic-batch"``
-        registry entry), all same-device-count sub-instances are planned
-        in one kernel call; otherwise this degrades to a per-call loop
-        with identical outcomes — every plan is bit-identical to what
-        :meth:`search` would compute.
+        one plan per call.  All same-device-count sub-instances are
+        planned in one ``run_batch`` kernel call; every plan is
+        bit-identical to what :meth:`search` would compute.
         """
         instances = []
         cell_maps = []
@@ -184,13 +179,9 @@ class HeuristicPager:
         for index, instance in enumerate(instances):
             by_devices.setdefault(instance.num_devices, []).append(index)
         for indices in by_devices.values():
-            if self._planner.supports_batch and len(indices) > 1:
-                plans = self._planner.run_batch([instances[i] for i in indices])
-                for row, index in enumerate(indices):
-                    strategies[index] = plans.strategy(row)
-            else:
-                for index in indices:
-                    strategies[index] = self._planner(instances[index]).strategy
+            plans = self._planner.run_batch([instances[i] for i in indices])
+            for row, index in enumerate(indices):
+                strategies[index] = plans.strategy(row)
         outcomes = []
         for index, true_cells in enumerate(true_cells_batch):
             found, paged, rounds, complete = page_with_strategy(
@@ -322,8 +313,7 @@ def _fallback(
 PAGER_FACTORIES: Dict[str, Callable[[], object]] = {
     "blanket": BlanketPager,
     "heuristic": HeuristicPager,
-    # Same plans as "heuristic", but search_many() fans whole call stacks
-    # through the batched planner kernel (repro.core.batch_plan).
-    "heuristic-batch": lambda: HeuristicPager("heuristic-batch"),
+    # Former name of the same pager, kept so stored configurations resolve.
+    "heuristic-batch": HeuristicPager,
     "adaptive": AdaptivePager,
 }

@@ -238,11 +238,11 @@ class CellularSimulator:
         ) if len(mobility_models) >= 2 else None
         # Shared-channel contention: a finite channel_capacity switches the
         # engine from the synchronous legacy schedule to queued setup over
-        # per-cell page slots.  The planner is the registry solver matching
-        # the pager; "adaptive" plans its oblivious heuristic strategy (a
-        # non-answer under contention may be a deferred or lost page, so
-        # eliminating cells on silence would be unsound) and "blanket"
-        # bypasses planning entirely inside plan_pending_call.
+        # per-cell page slots.  Every pager plans through the registry's
+        # Fig. 1 heuristic; "adaptive" plans its oblivious heuristic
+        # strategy (a non-answer under contention may be a deferred or lost
+        # page, so eliminating cells on silence would be unsound) and
+        # "blanket" bypasses planning entirely inside plan_pending_call.
         self._resource: Optional[ChannelResource] = None
         self._scheduler: Optional[ChannelScheduler] = None
         if config.contention_active:
@@ -250,12 +250,7 @@ class CellularSimulator:
             self._resource = ChannelResource(
                 topology.num_cells, config.channel_capacity, config.carriers
             )
-            solver_name = (
-                "heuristic"
-                if config.pager in ("adaptive", "blanket")
-                else config.pager
-            )
-            self._planner = get_solver(solver_name)
+            self._planner = get_solver("heuristic")
             self._scheduler = ChannelScheduler(
                 self._resource,
                 self._metrics,

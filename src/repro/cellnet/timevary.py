@@ -445,7 +445,7 @@ def evaluate_registration(
     max_rounds: int,
     call_rate: float,
     report_cost: float = 1.0,
-    planner: str = "heuristic-batch",
+    planner: str = "heuristic",
     start_cells: Optional[Sequence[int]] = None,
     start_weights: Optional[Sequence[float]] = None,
     max_age: int = 512,
@@ -563,7 +563,7 @@ def hmy_fixed_point(
     max_rounds: int,
     call_rate: float,
     report_cost: float = 1.0,
-    planner: str = "heuristic-batch",
+    planner: str = "heuristic",
     start_cells: Optional[Sequence[int]] = None,
     max_iterations: int = 8,
     max_age: int = 512,

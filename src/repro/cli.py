@@ -102,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--output", default=None, help="write the planned strategy to a JSON file"
     )
-    plan.add_argument(
-        "--fast",
-        action="store_true",
-        help="use the vectorized planner (large instances, heuristic only)",
-    )
 
     solve = commands.add_parser(
         "solve", help="run any registered solver on a JSON instance"
@@ -349,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--solver",
-        default="heuristic-batch",
+        default="heuristic",
         metavar="NAME",
         help="registry solver answering the requests",
     )
@@ -396,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     timevary.add_argument(
         "--planner",
-        default="heuristic-batch",
+        default="heuristic",
         metavar="NAME",
         help="registry solver that re-plans paging from conditional priors",
     )
@@ -500,8 +495,7 @@ def _command_plan(args: argparse.Namespace) -> int:
         result = get_solver("exact")(instance, max_group_size=args.bandwidth)
         label = "exact optimal"
     else:
-        planner = get_solver("heuristic-fast" if args.fast else "heuristic")
-        result = planner(instance, max_group_size=args.bandwidth)
+        result = get_solver("heuristic")(instance, max_group_size=args.bandwidth)
         label = "e/(e-1) heuristic"
     strategy = result.strategy
     for round_index, group in enumerate(strategy.groups, start=1):

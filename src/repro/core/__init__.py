@@ -86,11 +86,6 @@ from .exact_variants import (
     optimal_signature,
     optimal_yellow_pages,
 )
-from .fast import (
-    conference_call_heuristic_fast,
-    optimize_cuts_fast,
-    prefix_stop_probabilities_fast,
-)
 from .serialization import (
     instance_from_dict,
     instance_to_dict,

@@ -1,8 +1,8 @@
 /* Batched Fig. 1 planner kernel: weight ordering + Lemma 4.7 cut DP.
  *
- * Bit-identity contract with the numpy reference (repro.core.fast):
+ * Bit-identity contract with the numpy backend (repro.core.batch_plan):
  *  - weights are sequential per-cell sums over devices (same add order);
- *  - the descending stable argsort matches np.lexsort((arange, -w));
+ *  - the descending stable argsort matches np.argsort(-w, kind="stable");
  *  - find probabilities are sequential prefix sums multiplied device-major;
  *  - every DP candidate is computed as best[prev] + (double)(j-prev)*F[prev]
  *    with no FP contraction (compile with -ffp-contract=off), and the level

@@ -30,8 +30,9 @@ Environment overrides (tested in ``tests/core/test_backends.py``):
 
 Both backends are bit-identical: the kernel documents (and the property
 suite in ``tests/core/test_batch_plan.py`` asserts) that every float is
-computed by the same sequence of IEEE operations as ``repro.core.fast``,
-compiled with ``-ffp-contract=off`` so no fused multiply-adds sneak in.
+computed by the same sequence of IEEE operations as the numpy backend in
+:mod:`repro.core.batch_plan`, compiled with ``-ffp-contract=off`` so no
+fused multiply-adds sneak in.
 """
 
 from __future__ import annotations

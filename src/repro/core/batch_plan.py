@@ -1,12 +1,12 @@
-"""Batched Fig. 1 planning: thousands of instances through one kernel.
+"""Batched Fig. 1 planning: the one float planner, from 1 to thousands of rows.
 
-The scalar planners (:mod:`repro.core.heuristic`, :mod:`repro.core.fast`)
-optimize one instance per call.  That is the wrong shape for the workloads
-the related literature actually runs — Hajek-style joint paging/registration
-iterations and residence-time sweeps re-plan from *families* of conditional
-distributions, thousands of same-shape instances at a time.  This module
-lifts the whole Fig. 1 pipeline (weight ordering, prefix stop
-probabilities, Lemma 4.7 cut DP, backtrack) to a batch axis:
+Every float plan of the Fig. 1 heuristic runs through :func:`plan_batch`.
+A single instance is a batch of one (the ``heuristic`` registry entry does
+exactly that); the workloads the related literature actually runs —
+Hajek-style joint paging/registration iterations and residence-time
+sweeps — re-plan *families* of same-shape conditional distributions and
+pass them as one stack.  The whole pipeline (weight ordering, prefix stop
+probabilities, Lemma 4.7 cut DP, backtrack) works over a batch axis:
 
 * :func:`plan_batch` — ``(batch, devices, cells)`` probability stack in,
   per-instance orders, group sizes, and expected-paging values out;
@@ -19,15 +19,18 @@ probabilities, Lemma 4.7 cut DP, backtrack) to a batch axis:
 
 Two interchangeable backends execute the cut DP (see
 :mod:`repro.core.backends`): the pure-numpy ``(batch, prev, j)`` broadcast
-recurrence, and an optional C kernel compiled on demand.  Both are
-bit-identical to the scalar :func:`repro.core.fast.optimize_cuts_fast` —
-same IEEE operations in the same order, asserted float-for-float by the
-property suite in ``tests/core/test_batch_plan.py``.
+recurrence, which is the bit-exact reference, and an optional C kernel
+compiled on demand that runs the same IEEE operations in the same order.
+Exact (``Fraction``) arithmetic stays with the reference planner
+:func:`repro.core.heuristic.conference_call_heuristic`; how the float plans
+relate to it (same order, value to round-off, group sizes up to ties)
+is stated under "Bit-identity scope" in docs/performance.md and pinned
+by ``tests/core/test_batch_plan.py``.
 
 All instances in a batch share one shape ``(devices, cells)`` and one
 ``(num_rounds, max_group_size)`` budget; feasibility is therefore a
 property of the shape (``d * b >= c``), and :func:`plan_batch` raises
-:class:`~repro.errors.InfeasibleError` exactly when the scalar planner
+:class:`~repro.errors.InfeasibleError` exactly when the reference planner
 would.
 """
 
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from ..errors import InfeasibleError
 from ..obs.instrument import observe, span
 from .backends import load_compiled, resolve_backend
 from .dp import OrderedDPResult
-from .fast import _gap_tables
 from .instance import PagingInstance
 from .strategy import Strategy
 
@@ -62,6 +65,24 @@ MAX_CHUNK = 256
 def _auto_chunk(c: int) -> int:
     rows = _CHUNK_TARGET_BYTES // (8 * (c + 1) * (c + 1))
     return int(min(MAX_CHUNK, max(1, rows)))
+
+
+@lru_cache(maxsize=64)
+def _gap_tables(c: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gap_matrix, valid)`` for the cut DP, cached per shape ``(c, b)``.
+
+    ``gap_matrix[prev, j] = j - prev``; ``valid`` masks the band
+    ``1 <= j - prev <= b``.  Both are O(c²) and depend only on the shape,
+    so repeated same-shape plans (the paging-controller pattern: thousands
+    of instances over one location area) reuse one read-only pair instead
+    of reallocating per call.
+    """
+    positions = np.arange(c + 1)
+    gap_matrix = positions[None, :] - positions[:, None]
+    valid = (gap_matrix >= 1) & (gap_matrix <= b)
+    gap_matrix.setflags(write=False)
+    valid.setflags(write=False)
+    return gap_matrix, valid
 
 
 @dataclass(frozen=True)
@@ -127,12 +148,12 @@ def stack_instances(
 def prefix_stop_probabilities_batch(
     matrices: np.ndarray, orders: np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`repro.core.fast.prefix_stop_probabilities_fast`.
+    """Prefix stop probabilities for a whole stack of instances.
 
     ``matrices`` is ``(batch, devices, cells)``, ``orders`` ``(batch,
     cells)``; returns the ``(batch, cells + 1)`` find-probability table
-    ``F[i, k] = prod_dev P_dev(first k cells of orders[i])``, each row
-    bit-identical to the scalar call on the same order.
+    ``F[i, k] = prod_dev P_dev(first k cells of orders[i])``: one
+    ``cumsum`` over the ordered cells and one ``prod`` over devices.
     """
     stacked = np.asarray(matrices, dtype=np.float64)
     ordered = np.take_along_axis(stacked, np.asarray(orders)[:, None, :], axis=2)
@@ -143,7 +164,7 @@ def prefix_stop_probabilities_batch(
 
 
 def _validate_budget(c: int, d: int, b: Optional[int]) -> int:
-    """Shared shape-level feasibility checks, mirroring the scalar planner."""
+    """Shared shape-level feasibility checks, mirroring the reference planner."""
     if not 1 <= d <= c:
         raise InfeasibleError(f"number of rounds must satisfy 1 <= d <= {c}, got {d}")
     cap = c if b is None else int(b)
@@ -152,7 +173,7 @@ def _validate_budget(c: int, d: int, b: Optional[int]) -> int:
             f"cannot page {c} cells within {d} rounds of at most {cap} cells each"
         )
     # A group can never exceed c cells, so any cap above c plans identically
-    # to cap == c (the scalar planner's gap band enforces this implicitly).
+    # to cap == c (the DP's gap band enforces this implicitly).
     # Clamping here keeps the compiled kernel's gap loop inside its padded
     # scratch rows and canonicalizes the _gap_tables cache key.
     return min(cap, c)
@@ -163,9 +184,10 @@ def _cut_dp_numpy(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The ``(batch, prev, j)`` broadcast of the Lemma 4.7 recurrence.
 
-    Same candidate expression, masking, and first-occurrence ``argmax`` as
-    :func:`repro.core.fast.optimize_cuts_fast`, with the batch axis in
-    front — every intermediate float matches the scalar loop bit for bit.
+    Level by level, ``candidate[prev, j] = best[prev] + (j - prev) F[prev]``
+    inside the band, ``-inf`` outside; the first-occurrence ``argmax`` over
+    ``prev`` is the parent pointer the backtrack follows.  This is the
+    bit-exact reference the compiled kernel reproduces.
     """
     batch = finds.shape[0]
     positions = np.arange(c + 1)
@@ -231,13 +253,13 @@ def optimize_cuts_batch(
     backend: str = "auto",
     chunk: Optional[int] = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Batched :func:`repro.core.fast.optimize_cuts_fast`.
+    """Batched Lemma 4.7 cut DP (:func:`repro.core.dp.optimize_cuts`).
 
     ``prefix_stops`` is ``(batch, cells + 1)``; returns ``(group_sizes,
-    values)`` with shapes ``(batch, num_rounds)`` and ``(batch,)``, each
-    row bit-identical to the scalar call.  Raises
-    :class:`~repro.errors.InfeasibleError` for budgets the scalar planner
-    rejects (shape-level: every row shares ``(c, d, b)``).
+    values)`` with shapes ``(batch, num_rounds)`` and ``(batch,)``,
+    maximizing the telescoped bonus ``sum_r (j_{r+1} - j_r) F[j_r]`` per
+    row.  Raises :class:`~repro.errors.InfeasibleError` for budgets the
+    reference rejects (shape-level: every row shares ``(c, d, b)``).
     """
     finds = np.ascontiguousarray(prefix_stops, dtype=np.float64)
     if finds.ndim != 2:
@@ -274,9 +296,8 @@ def plan_batch(
     ``instances`` is either a ``(batch, devices, cells)`` float array or a
     sequence of same-shape :class:`~repro.core.instance.PagingInstance`
     objects (in which case ``num_rounds`` defaults to their shared
-    ``max_rounds``).  Every row's order, group sizes, and value are
-    bit-identical to :func:`repro.core.fast.conference_call_heuristic_fast`
-    on that instance.
+    ``max_rounds``).  Rows are independent: a row's plan does not depend
+    on the rest of the batch, so a batch of one is the scalar planner.
 
     ``backend`` selects the cut-DP implementation: ``"numpy"``,
     ``"compiled"``, or ``"auto"`` (compiled when available, else numpy —
@@ -329,9 +350,8 @@ def _plan_numpy(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Full pipeline on the numpy backend.
 
-    A stable ascending argsort of ``-weights`` is the same permutation as
-    the scalar planner's ``np.lexsort((arange(c), -weights))`` — descending
-    by weight, ties by original index.
+    A stable ascending argsort of ``-weights`` orders cells by descending
+    weight with ties by original index, the reference's ordering rule.
     """
     weights = stacked.sum(axis=1)
     orders = np.argsort(-weights, axis=1, kind="stable").astype(np.intp)

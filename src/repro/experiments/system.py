@@ -6,9 +6,9 @@
 * E13 — the end-to-end cellular simulation: conference calls in a GSM-style
   system under blanket LA paging vs the paper's heuristic vs the adaptive
   variant, with identical mobility and call streams.
-* E27 — batched replanning throughput: per-plan cost of the batched planner
-  kernel (``heuristic-batch``) vs the per-instance vectorized planner, with
-  a bit-identity check per batch.
+* E27 — batched replanning throughput: per-plan cost of one ``run_batch``
+  call into the Fig. 1 kernel vs a loop of scalar ``heuristic`` calls (each
+  a batch of one), with a bit-identity check per batch.
 * E29 — heavy-traffic contention: concurrent call setups competing for
   finite per-cell paging channels (the event-driven engine), measuring
   blocking probability and setup-latency percentiles vs offered load and
@@ -162,16 +162,14 @@ def run_e27_batched_replanning(
 ) -> ExperimentTable:
     """Per-plan cost of batched vs per-instance planning (ROADMAP item 2).
 
-    One family of same-shape dirichlet instances is planned two ways:
-    a per-instance loop over the vectorized planner (``heuristic-fast``)
-    and one ``run_batch`` call into the batched kernel
-    (``heuristic-batch``, whichever backend ``auto`` resolves).  The
-    ``identical`` column re-checks, per batch, that every batched plan
-    (order, group sizes, value) matches its scalar counterpart exactly —
-    the speedup never buys a different answer.
+    One family of same-shape dirichlet instances is planned two ways
+    through the ``heuristic`` registry entry: a per-instance loop of
+    scalar calls and one ``run_batch`` call (whichever backend ``auto``
+    resolves).  The ``identical`` column re-checks, per batch, that every
+    batched plan (order, group sizes, value) matches its scalar
+    counterpart exactly — the speedup never buys a different answer.
     """
-    scalar = get_solver("heuristic-fast")
-    batched = get_solver("heuristic-batch")
+    planner = get_solver("heuristic")
     table = ExperimentTable(
         "E27",
         "Batched replanning throughput: one kernel call vs a planner loop",
@@ -185,10 +183,10 @@ def run_e27_batched_replanning(
     for batch_size in batch_sizes:
         stack = instances[:batch_size]
         start = time.perf_counter()
-        loop_results = [scalar(instance) for instance in stack]
+        loop_results = [planner(instance) for instance in stack]
         loop_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        plans = batched.run_batch(stack)
+        plans = planner.run_batch(stack)
         batch_seconds = time.perf_counter() - start
         identical = all(
             plans.result(i).order == loop_results[i].extras["order"]
@@ -204,9 +202,9 @@ def run_e27_batched_replanning(
             identical,
         )
     table.add_note(
-        "identical=True per row: the batched kernel reproduces the scalar "
-        "planner's orders, cuts, and values bit for bit (backend "
-        f"{get_solver('heuristic-batch').run_batch(instances[:1]).backend!r})"
+        "identical=True per row: one batched call reproduces the scalar "
+        "calls' orders, cuts, and values bit for bit (backend "
+        f"{planner.run_batch(instances[:1]).backend!r})"
     )
     return table
 
@@ -302,7 +300,7 @@ def run_e28_timevary(
             max_paging_rounds=max_rounds,
             reporting="distance",
             distance_threshold=distance_threshold,
-            pager="heuristic-batch",
+            pager="heuristic",
             prior_mode=prior_mode,
         )
         simulator = CellularSimulator(topology, plan, models, config, rng=rng)

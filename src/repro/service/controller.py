@@ -66,7 +66,7 @@ class ServiceConfig:
     #: probability bucket width for cache keys (0 = exact float keys)
     quantization_step: float = 0.0
     #: registry name answering the requests (batch-capable names batch)
-    solver: str = "heuristic-batch"
+    solver: str = "heuristic"
     #: planner backend forwarded to multi-backend solvers ("auto"/"numpy"/...)
     backend: str = "auto"
     #: cache-miss accumulation window: flush a batch group at this size

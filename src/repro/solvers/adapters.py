@@ -1,7 +1,7 @@
 """Registry adapters over every solver family in ``repro.core``.
 
-Each adapter forwards to exactly one legacy entry point (Fig. 1 heuristic,
-the Lemma 4.7 DP, the §2 subset-DP exact solver, the §5 extensions) and
+Each adapter forwards to one legacy entry point (Fig. 1 heuristic, the
+Lemma 4.7 DP, the §2 subset-DP exact solver, the §5 extensions) and
 repackages its result into the :class:`~repro.solvers.result.SolverResult`
 normal form.  Adapters never recompute or coerce values: the ``Fraction``
 (or float) objective and the chosen :class:`~repro.core.strategy.Strategy`
@@ -11,11 +11,18 @@ tests in ``tests/solvers`` pin bit-for-bit.
 Wrapped functions carry a ``replint: solver`` docstring marker; lint rule
 RPL007 checks that every marked entry point is imported (hence registered)
 here and that its module cites a paper anchor.
+
+The one exception to "one entry point" is ``heuristic``: the instance's
+number type picks between the exact reference
+(:func:`~repro.core.heuristic.conference_call_heuristic`) and the float
+kernel (:func:`~repro.core.batch_plan.plan_batch`, a batch of one).
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..core.adaptive import adaptive_expected_paging
 from ..core.adaptive_optimal import (
@@ -36,7 +43,6 @@ from ..core.exact import (
     optimal_strategy_bruteforce,
 )
 from ..core.exact_variants import optimal_signature, optimal_yellow_pages
-from ..core.fast import conference_call_heuristic_fast
 from ..core.heuristic import (
     APPROXIMATION_FACTOR,
     conference_call_heuristic,
@@ -80,57 +86,44 @@ def _fits_exact(instance: PagingInstance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@register_solver(
-    "heuristic",
-    kind="heuristic",
-    capabilities=("bandwidth",),
-    summary="weight ordering + Lemma 4.7 cut DP (the paper's main algorithm)",
-    anchor="Fig. 1, Theorem 4.8",
-    options=("max_rounds", "max_group_size"),
-    factor=APPROXIMATION_FACTOR,
-    wraps=(conference_call_heuristic,),
-)
-def _heuristic(instance: PagingInstance, **options: object) -> _Adapted:
-    result = conference_call_heuristic(instance, **options)
-    return result.strategy, result.expected_paging, {
-        "order": result.order, "group_sizes": result.group_sizes,
-    }
-
-
-@register_solver(
-    "heuristic-fast",
-    kind="heuristic",
-    capabilities=("bandwidth", "vectorized"),
-    summary="float/numpy planner, same order and cuts as the reference",
-    anchor="Fig. 1, Theorem 4.8",
-    options=("max_rounds", "max_group_size"),
-    factor=APPROXIMATION_FACTOR,
-    wraps=(conference_call_heuristic_fast,),
-)
-def _heuristic_fast(instance: PagingInstance, **options: object) -> _Adapted:
-    result = conference_call_heuristic_fast(instance, **options)
-    return result.strategy, result.expected_paging, {
-        "order": result.order, "group_sizes": result.group_sizes,
-    }
-
-
 def _plan_batch_many(instances, max_rounds=None, **options):
-    """Batch adapter: one kernel call over a whole instance stack."""
+    """Batch adapter: one float kernel call over a whole instance stack.
+
+    A raw array is float by construction; an instance sequence must not
+    hold exact instances, whose scalar calls return ``Fraction`` values
+    the float kernel cannot reproduce.
+    """
+    if not isinstance(instances, np.ndarray) and any(
+        instance.is_exact for instance in instances
+    ):
+        raise TypeError(
+            "run_batch plans in float arithmetic; exact (Fraction) instances "
+            "plan one at a time through the scalar call"
+        )
     return plan_batch(instances, max_rounds, **options)
 
 
 @register_solver(
-    "heuristic-batch",
+    "heuristic",
     kind="heuristic",
     capabilities=("bandwidth", "vectorized", "batch", "multi-backend"),
-    summary="batched Fig. 1 planner: thousands of instances per kernel call",
+    summary="weight ordering + Lemma 4.7 cut DP (the paper's main algorithm)",
     anchor="Fig. 1, Lemma 4.7, Theorem 4.8",
     options=("max_rounds", "max_group_size", "backend", "chunk"),
     factor=APPROXIMATION_FACTOR,
-    wraps=(plan_batch,),
+    wraps=(conference_call_heuristic, plan_batch),
     batch=_plan_batch_many,
+    aliases=("heuristic-batch",),
 )
-def _heuristic_batch(instance: PagingInstance, **options: object) -> _Adapted:
+def _heuristic(instance: PagingInstance, **options: object) -> _Adapted:
+    # The number type picks the path: exact instances keep Fraction
+    # arithmetic in the reference (which takes no backend/chunk), float
+    # ones are a batch of one.
+    if instance.is_exact:
+        result = conference_call_heuristic(instance, **options)
+        return result.strategy, result.expected_paging, {
+            "order": result.order, "group_sizes": result.group_sizes,
+        }
     max_rounds = options.pop("max_rounds", None)
     batch = plan_batch([instance], max_rounds, **options)  # type: ignore[arg-type]
     result = batch.result(0)

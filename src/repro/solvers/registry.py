@@ -204,6 +204,10 @@ class RegisteredSolver:
 
 _REGISTRY: Dict[str, RegisteredSolver] = {}
 
+#: Former registry names kept resolvable: alias -> registered name.  Aliases
+#: are never listed; they exist so stored configurations keep working.
+_ALIASES: Dict[str, str] = {}
+
 
 def register_solver(
     name: str,
@@ -218,18 +222,22 @@ def register_solver(
     wraps: Sequence[Callable[..., object]] = (),
     supports: Optional[SupportsFn] = None,
     batch: Optional[BatchAdapterFn] = None,
+    aliases: Sequence[str] = (),
 ) -> Callable[[AdapterFn], AdapterFn]:
     """Decorator: register ``adapter`` under ``name`` with its spec.
 
     The adapter function itself is returned unchanged so the module stays
     plain; look the callable entry up with :func:`get_solver`.  ``batch``
     optionally attaches a many-instances entry point, exposed as
-    :meth:`RegisteredSolver.run_batch` / :func:`solve_batch`.
+    :meth:`RegisteredSolver.run_batch` / :func:`solve_batch`.  ``aliases``
+    are extra names :func:`get_solver` resolves to this same entry; they
+    are not listed by :func:`list_solvers` or :func:`solver_names`.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if name in _REGISTRY:
-        raise ValueError(f"solver {name!r} is already registered")
+    for taken in (name, *aliases):
+        if taken in _REGISTRY or taken in _ALIASES:
+            raise ValueError(f"solver {taken!r} is already registered")
     missing = set(required) - set(options)
     if missing:
         raise ValueError(f"required options {sorted(missing)} not in options")
@@ -255,15 +263,16 @@ def register_solver(
             _supports=supports,
             batch_adapter=batch,
         )
+        _ALIASES.update(dict.fromkeys(aliases, name))
         return adapter
 
     return decorate
 
 
 def get_solver(name: str) -> RegisteredSolver:
-    """Look a solver up by registry name."""
+    """Look a solver up by registry name (or a former name kept as alias)."""
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[_ALIASES.get(name, name)]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownSolverError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cellnet import (
+    PAGER_FACTORIES,
     AdaptivePager,
     BlanketPager,
     HeuristicPager,
@@ -120,12 +121,14 @@ class TestSearchMany:
             true_cells_batch.append([call % num_cells] * devices)
         return priors_batch, true_cells_batch
 
-    @pytest.mark.parametrize("solver", ["heuristic-fast", "heuristic-batch"])
+    # "heuristic-batch" is the former name of the same pager.
+    @pytest.mark.parametrize("solver", ["heuristic", "heuristic-batch"])
     def test_matches_per_call_search(self, rng, solver):
         num_cells = 10
         candidates = list(range(num_cells))
         priors_batch, true_cells_batch = self._batch(rng, 7, num_cells)
-        pager = HeuristicPager(solver)
+        pager = PAGER_FACTORIES[solver]()
+        assert isinstance(pager, HeuristicPager)
         many = pager.search_many(
             priors_batch, candidates, true_cells_batch, max_rounds=3,
             num_cells=num_cells,
@@ -150,7 +153,7 @@ class TestSearchMany:
             [rng.dirichlet(np.ones(num_cells))],
             [rng.dirichlet(np.ones(num_cells))],
         ]
-        outcomes = HeuristicPager("heuristic-batch").search_many(
+        outcomes = HeuristicPager().search_many(
             priors_batch, candidates, [[2], [9]], max_rounds=2,
             num_cells=num_cells,
         )

@@ -8,9 +8,12 @@ alternation produces a monotone non-increasing cost trajectory that reaches
 a fixed point.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cellnet import timevary
 from repro.cellnet import (
     BeliefPropagator,
     CellTopology,
@@ -30,6 +33,7 @@ from repro.cellnet import (
     validate_transition_matrix,
 )
 from repro.errors import SimulationError
+from repro.solvers import get_solver
 
 
 @pytest.fixture
@@ -204,15 +208,20 @@ class TestRegistrationCycles:
 
 
 class TestEvaluateRegistration:
-    def test_batched_and_loop_planners_agree(self, topology):
+    def test_batched_and_loop_planners_agree(self, topology, monkeypatch):
         matrix = random_walk_transition_matrix(RandomWalk(topology), topology)
         batched = evaluate_registration(
             topology, matrix, kind="timer", threshold=5, max_rounds=3,
-            call_rate=0.1, planner="heuristic-batch",
+            call_rate=0.1, planner="heuristic",
         )
+        # The same entry without its batch adapter takes the per-instance loop.
+        scalar_only = dataclasses.replace(
+            get_solver("heuristic"), batch_adapter=None
+        )
+        monkeypatch.setattr(timevary, "get_solver", lambda name: scalar_only)
         loop = evaluate_registration(
             topology, matrix, kind="timer", threshold=5, max_rounds=3,
-            call_rate=0.1, planner="heuristic-fast",
+            call_rate=0.1, planner="heuristic",
         )
         assert batched.batched
         assert not loop.batched

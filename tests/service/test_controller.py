@@ -7,6 +7,8 @@ flush on size vs timeout, backpressure shedding, and the ``service.*``
 observability events.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from repro.service import (
     quantization_bound,
     request_instance,
 )
-from repro.solvers import solve_instance
+from repro.service import controller as controller_module
+from repro.solvers import get_solver, solve_instance
 
 
 def _profile(seed, devices=3, cells=10):
@@ -188,7 +191,7 @@ class TestBitIdentity:
         assert len(hits) > 100  # the stream recurs, so hits dominate
         for ticket in hits[::17] + hits[-3:]:
             fresh = solve_instance(
-                "heuristic-fast",
+                "heuristic",
                 request_instance(ticket.request),
                 max_rounds=ticket.request.rounds,
             )
@@ -198,10 +201,15 @@ class TestBitIdentity:
             assert ticket.plan.order == fresh.extras["order"]
             assert ticket.plan.group_sizes == fresh.extras["group_sizes"]
 
-    def test_scalar_fallback_solver_matches_batch(self):
+    def test_scalar_fallback_solver_matches_batch(self, monkeypatch):
         request = PlanRequest("la-1", _profile(5), 3)
-        batched = PagingController(ServiceConfig(solver="heuristic-batch"))
-        scalar = PagingController(ServiceConfig(solver="heuristic-fast"))
+        batched = PagingController(ServiceConfig(solver="heuristic"))
+        # The same entry without its batch adapter takes the scalar path.
+        scalar_only = dataclasses.replace(
+            get_solver("heuristic"), batch_adapter=None
+        )
+        monkeypatch.setattr(controller_module, "get_solver", lambda name: scalar_only)
+        scalar = PagingController(ServiceConfig(solver="heuristic"))
         plan_batched = batched.run([request])[0].plan
         plan_scalar = scalar.run([request])[0].plan
         assert float(plan_batched.expected_paging).hex() == float(
@@ -270,8 +278,8 @@ class TestQuantizationBound:
         checked = 0
         for trial in range(25):
             base, other = self._bucket_neighbors(rng, step, devices, cells)
-            key_a = plan_cache_key(base, rounds, None, "heuristic-batch", step)
-            key_b = plan_cache_key(other, rounds, None, "heuristic-batch", step)
+            key_a = plan_cache_key(base, rounds, None, "heuristic", step)
+            key_b = plan_cache_key(other, rounds, None, "heuristic", step)
             if key_a != key_b:
                 continue
             controller = PagingController(config)
@@ -279,7 +287,7 @@ class TestQuantizationBound:
             hit = controller.submit(PlanRequest("a", other, rounds))
             assert hit.cache_hit
             fresh = solve_instance(
-                "heuristic-fast",
+                "heuristic",
                 request_instance(hit.request),
                 max_rounds=rounds,
             )

@@ -93,7 +93,7 @@ class TestServeBench:
         report = serve_bench(ServiceConfig(), SMALL)
         assert report["schema"] == "repro-serve-bench/1"
         assert report["workload"]["requests"] == SMALL.requests
-        assert report["service"]["solver"] == "heuristic-batch"
+        assert report["service"]["solver"] == "heuristic"
         for regime in ("cold", "warm"):
             assert report[regime]["throughput_rps"] > 0.0
         assert report["warm"]["hit_rate"] == pytest.approx(1.0)

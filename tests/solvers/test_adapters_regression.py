@@ -21,7 +21,6 @@ from repro.core import (
     bandwidth_limited_optimal,
     clustered_exhaustive,
     conference_call_heuristic,
-    conference_call_heuristic_fast,
     lower_bound_instance,
     optimal_adaptive_expected_paging,
     optimal_adaptive_quorum_expected_paging,
@@ -34,6 +33,7 @@ from repro.core import (
     optimize_over_order,
     optimize_signature_over_order,
     optimize_yellow_over_order,
+    plan_batch,
     profile_heuristic,
     signature_heuristic,
     two_device_two_round_heuristic,
@@ -58,6 +58,10 @@ SKEWED = PagingInstance(
     max_rounds=3,
 )
 
+#: Float copies: the heuristic entry plans them through the batched kernel.
+GADGET_FLOAT = GADGET.to_float()
+SKEWED_FLOAT = SKEWED.to_float()
+
 SINGLE = PagingInstance(
     [[Fraction(6, 16), Fraction(4, 16), Fraction(3, 16), Fraction(2, 16), Fraction(1, 16)]],
     max_rounds=3,
@@ -74,13 +78,14 @@ CASES = [
      lambda: _sv(conference_call_heuristic(GADGET))),
     ("heuristic", SKEWED, {"max_rounds": 2},
      lambda: _sv(conference_call_heuristic(SKEWED, max_rounds=2))),
-    ("heuristic-fast", GADGET, {},
-     lambda: _sv(conference_call_heuristic_fast(GADGET))),
-    # The batched planner promises bit-identity with the fast scalar one.
-    ("heuristic-batch", GADGET, {},
-     lambda: _sv(conference_call_heuristic_fast(GADGET))),
-    ("heuristic-batch", SKEWED, {"max_rounds": 2},
-     lambda: _sv(conference_call_heuristic_fast(SKEWED, max_rounds=2))),
+    # Float instances are a batch of one through the batched kernel; the
+    # former name "heuristic-batch" is an alias of the same entry.
+    ("heuristic", GADGET_FLOAT, {},
+     lambda: _sv(plan_batch([GADGET_FLOAT]).result(0))),
+    ("heuristic-batch", GADGET_FLOAT, {},
+     lambda: _sv(plan_batch([GADGET_FLOAT]).result(0))),
+    ("heuristic-batch", SKEWED_FLOAT, {"max_rounds": 2},
+     lambda: _sv(plan_batch([SKEWED_FLOAT], 2).result(0))),
     ("profile-heuristic", SKEWED, {},
      lambda: _sv(profile_heuristic(SKEWED))),
     ("two-round-split", GADGET, {},
@@ -155,11 +160,11 @@ def test_registry_result_is_bit_identical_to_legacy(name, instance, options, leg
     assert result.expected_paging == legacy_value
     assert type(result.expected_paging) is type(legacy_value)
     assert result.strategy == legacy_strategy
-    assert result.solver == name
+    assert result.solver == get_solver(name).name
 
 
 def test_every_registered_solver_has_a_regression_case():
-    covered = {case[0] for case in CASES}
+    covered = {get_solver(case[0]).name for case in CASES}
     registered = {spec.name for spec in list_solvers()}
     assert covered == registered, (
         f"missing regression cases: {sorted(registered - covered)}; "

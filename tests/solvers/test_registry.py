@@ -34,6 +34,12 @@ class TestRegistrySurface:
         assert len(names) == len(set(names))
         assert names == solver_names()
 
+    def test_one_fig1_heuristic_with_its_former_name_as_alias(self):
+        assert get_solver("heuristic-batch") is get_solver("heuristic")
+        assert "heuristic-batch" not in solver_names()
+        with pytest.raises(UnknownSolverError):
+            get_solver("heuristic-fast")
+
     def test_every_kind_is_legal_and_populated(self):
         kinds = {spec.kind for spec in list_solvers()}
         assert kinds == set(KINDS)
@@ -106,6 +112,10 @@ class TestRegistration:
         with pytest.raises(ValueError, match="already registered"):
             register_solver(
                 "heuristic", kind="heuristic", summary="dup", anchor="nowhere"
+            )
+        with pytest.raises(ValueError, match="already registered"):
+            register_solver(
+                "heuristic-batch", kind="heuristic", summary="dup", anchor="nowhere"
             )
 
     def test_bad_kind_rejected(self):

@@ -23,6 +23,9 @@ class TestRunBenchmarks:
         assert "monte_carlo_scalar" in names
         assert "monte_carlo_fast" in names
         assert "planner_reference" in names
+        # The scalar row times the registry entry every float caller uses.
+        assert "planner_heuristic" in names
+        assert "planner_fast" not in names
         assert "runner_parallel" in names
 
     def test_unknown_profile_raises(self):
@@ -40,6 +43,7 @@ class TestRunBenchmarks:
         for backend in available_backends():
             assert f"planner_batch_{backend}" in names
         assert "planner_batch_speedup" in smoke_payload["derived"]
+        assert "planner_speedup" not in smoke_payload["derived"]
 
     def test_service_rows_record_throughput_and_hit_rate(self, smoke_payload):
         rows = {
@@ -248,15 +252,15 @@ class TestDiffCli:
     def test_fail_rows_gates_only_matching_regressions(self, tmp_path, capsys):
         prev = self._write(
             tmp_path, "BENCH_0.json",
-            _snapshot(0, {"planner_fast": 0.010, "runner_parallel": 0.100}),
+            _snapshot(0, {"planner_heuristic": 0.010, "runner_parallel": 0.100}),
         )
         slow_runner = self._write(
             tmp_path, "BENCH_1.json",
-            _snapshot(1, {"planner_fast": 0.010, "runner_parallel": 0.200}),
+            _snapshot(1, {"planner_heuristic": 0.010, "runner_parallel": 0.200}),
         )
         slow_planner = self._write(
             tmp_path, "BENCH_2.json",
-            _snapshot(2, {"planner_fast": 0.020, "runner_parallel": 0.100}),
+            _snapshot(2, {"planner_heuristic": 0.020, "runner_parallel": 0.100}),
         )
         # runner regression exists but does not match the gate regex.
         assert cli_main(

@@ -58,10 +58,6 @@ class TestPlan:
         assert isinstance(restored, Strategy)
         assert restored.num_cells == 4
 
-    def test_fast_planner_flag(self, instance_file, capsys):
-        assert main(["plan", instance_file, "--fast"]) == 0
-        assert "heuristic expected paging" in capsys.readouterr().out
-
     def test_missing_probabilities_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
