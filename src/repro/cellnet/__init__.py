@@ -48,9 +48,10 @@ from .paging import (
     BlanketPager,
     CostAwarePager,
     HeuristicPager,
+    Pager,
     PagingOutcome,
     build_sub_instance,
-    page_with_strategy,
+    execute_search,
 )
 from .render import (
     render_cell_map,
@@ -130,6 +131,7 @@ __all__ = [
     "MobilityModel",
     "MoveContext",
     "NeverReport",
+    "Pager",
     "PagingOutcome",
     "PendingCall",
     "PoissonConferenceCalls",
@@ -153,6 +155,7 @@ __all__ = [
     "distance_cycle",
     "empirical_transition_matrix",
     "evaluate_registration",
+    "execute_search",
     "generate_trace",
     "gravity_transition_matrix",
     "hmy_fixed_point",
@@ -164,7 +167,6 @@ __all__ = [
     "validate_transition_matrix",
     "hex_disk",
     "hex_rectangle",
-    "page_with_strategy",
     "render_cell_map",
     "render_location_areas",
     "render_strategy",

@@ -57,7 +57,7 @@ from ..obs.events import current_tracer
 from .calls import ConferenceCallRequest
 from .faults import FaultInjector, RecoveryPolicy
 from .metrics import CallRecord, LinkUsageMetrics
-from .paging import build_sub_instance
+from .paging import Pager, build_sub_instance
 
 # Event kinds, in within-step dispatch order.  Outage transitions flip the
 # channel state before anything else looks at it; movement (which carries
@@ -457,36 +457,23 @@ def plan_pending_call(
     candidate_cells: Sequence[int],
     max_rounds: int,
     *,
-    planner: Callable[..., object],
-    blanket: bool = False,
+    pager: Pager,
 ) -> PendingCall:
     """Plan one call's oblivious page schedule for contention execution.
 
-    ``blanket`` short-circuits to a single all-candidates group (the GSM
-    baseline).  Otherwise the registry ``planner`` plans the paper's
-    strategy over the candidate sub-instance; groups come out as global
-    cell ids.  Adaptive replanning is deliberately not offered here: under
+    ``pager``'s plan step turns the candidate sub-instance into groups of
+    global cell ids, one strategy phase each.  It gets no true cells: under
     contention (and possibly faults) a non-answer may mean a lost or
     deferred page, so treating it as proof of absence would be unsound —
-    the same restriction :class:`~repro.cellnet.faults.ResilientPager`
-    applies.
+    the ``adaptive`` pager therefore plans its oblivious heuristic
+    strategy, as under :class:`~repro.cellnet.faults.ResilientPager`.
     """
-    cells = tuple(int(cell) for cell in candidate_cells)
-    remaining = {
-        local: device for local, device in enumerate(request.participants)
-    }
-    if blanket:
-        groups: List[List[int]] = [list(cells)]
-    else:
-        instance, cells = build_sub_instance(priors, cells, max_rounds)
-        strategy = planner(instance).strategy
-        groups = [
-            [cells[j] for j in sorted(group)] for group in strategy.groups
-        ]
-    phases = [_Phase(PHASE_STRATEGY, group) for group in groups if group]
+    instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
     return PendingCall(
         request=request,
         candidate_cells=cells,
-        phases=phases,
-        remaining=remaining,
+        phases=[
+            _Phase(PHASE_STRATEGY, group) for group in pager.plan(instance, cells)
+        ],
+        remaining=dict(enumerate(request.participants)),
     )

@@ -22,18 +22,19 @@ This module makes those failure modes *representable and recoverable*:
   byte-for-byte) and accounts for them in
   :class:`~repro.cellnet.metrics.LinkUsageMetrics` and the active
   :mod:`repro.obs` tracer.
-* :class:`ResilientPager` — plans with the paper's machinery (Fig. 1
-  heuristic, or blanket paging) and executes the plan under faults: lost
-  pages go unanswered, retries re-page the candidate set after backoff
-  waits, and a final complement sweep covers devices the registry mislaid.
+* :class:`ResilientPager` — plans with its base pager's plan step and
+  runs the paging executor (:func:`~repro.cellnet.paging.execute_search`)
+  under faults: lost pages go unanswered, retries re-page the candidate
+  set after backoff waits, and a final complement sweep covers devices the
+  registry mislaid.
 
 Every recovery round — paging, backoff wait, and fallback sweep alike — is
 counted against the delay budget ``d`` (``SimulationConfig.max_paging_rounds``),
 so a resilient search **never pages past round d**; when the budget runs out
 the call degrades gracefully into a partial conference and the unreachable
 devices are reported in ``PagingOutcome.failed_devices``.  At fault rate
-zero the simulator bypasses this engine entirely, so ``EP`` stays exactly
-comparable to Lemma 2.1's closed form.
+zero the simulator runs the executor with no injector, so ``EP`` stays
+exactly comparable to Lemma 2.1's closed form.
 
 One deliberate restriction: under faults the ``adaptive`` pager plans the
 *oblivious* heuristic strategy.  Section 5's conditional replanning treats a
@@ -44,16 +45,14 @@ a lost page; the oblivious plan keeps the executed strategy honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.strategy import Strategy
 from ..errors import SimulationError
 from ..obs.instrument import count
-from ..solvers import get_solver
 from .metrics import LinkUsageMetrics
-from .paging import PagingOutcome, build_sub_instance
+from .paging import PAGER_FACTORIES, PagingOutcome, build_sub_instance, execute_search
 
 
 @dataclass(frozen=True)
@@ -226,15 +225,6 @@ class FaultInjector:
         return True
 
 
-def _collect_answers(
-    remaining: Dict[int, int], found: Dict[int, int], delivered: set
-) -> None:
-    """Move every device whose true cell received a page into ``found``."""
-    for device in sorted(remaining):
-        if remaining[device] in delivered:
-            found[device] = remaining.pop(device)
-
-
 class ResilientPager:
     """Fault-aware search: plan with the paper's machinery, execute with
     loss, retry within budget, degrade gracefully.
@@ -256,31 +246,15 @@ class ResilientPager:
         injector: FaultInjector,
         policy: Optional[RecoveryPolicy] = None,
     ) -> None:
-        if pager not in ("blanket", "heuristic", "adaptive"):
+        if pager not in PAGER_FACTORIES:
             raise SimulationError(f"unknown base pager {pager!r}")
-        self._pager = pager
+        self._pager = PAGER_FACTORIES[pager]()
         self._injector = injector
         self._policy = policy if policy is not None else DEFAULT_RECOVERY
-        # Non-blanket plans come from the registry's Fig. 1 heuristic.
-        self._planner = get_solver("heuristic")
 
     @property
     def policy(self) -> RecoveryPolicy:
         return self._policy
-
-    def _plan(
-        self,
-        priors: Sequence[np.ndarray],
-        candidate_cells: Sequence[int],
-        rounds: int,
-    ) -> Tuple[Strategy, Tuple[int, ...]]:
-        cells = tuple(int(cell) for cell in candidate_cells)
-        if self._pager == "blanket":
-            if not cells:
-                raise SimulationError("cannot page an empty candidate set")
-            return Strategy.single_round(len(cells)), cells
-        instance, cells = build_sub_instance(priors, candidate_cells, rounds)
-        return self._planner(instance).strategy, cells
 
     def search(
         self,
@@ -292,75 +266,17 @@ class ResilientPager:
         *,
         time: int = 0,
     ) -> PagingOutcome:
-        policy = self._policy
-        budget = policy.budget(max_rounds)
-        strategy, cells = self._plan(
-            priors, candidate_cells, policy.planning_rounds(max_rounds)
+        # The plan leaves headroom for the retry schedule inside the budget.
+        instance, cells = build_sub_instance(
+            priors, candidate_cells, self._policy.planning_rounds(max_rounds)
         )
-        injector = self._injector
-        remaining = {device: int(cell) for device, cell in enumerate(true_cells)}
-        found: Dict[int, int] = {}
-        paged = 0
-        rounds = 0
-        retries = 0
-
-        # Phase 1 — the planned strategy, one round per group, under faults.
-        for group in strategy.groups:
-            if not remaining or rounds >= budget:
-                break
-            rounds += 1
-            paged += len(group)
-            delivered = {
-                cells[j]
-                for j in sorted(group)
-                if injector.page_delivered(cells[j], time)
-            }
-            _collect_answers(remaining, found, delivered)
-
-        # Phase 2 — bounded re-page retries with exponential backoff; each
-        # retry blankets the candidate set (a lost page says nothing about
-        # where the device is, so no cell can be ruled out).
-        candidate_set = set(cells)
-        for attempt in range(1, policy.max_retries + 1):
-            if not remaining:
-                break
-            wait = policy.backoff(attempt)
-            if rounds + wait + 1 > budget:
-                break  # the retry would overrun the delay constraint
-            rounds += wait + 1
-            retries += 1
-            targets = sorted(candidate_set)
-            paged += len(targets)
-            delivered = {
-                cell for cell in targets if injector.page_delivered(cell, time)
-            }
-            _collect_answers(remaining, found, delivered)
-
-        # Phase 3 — the system-wide fallback sweep for devices the registry
-        # mislaid entirely, if (and only if) it still fits the budget.
-        used_fallback = False
-        if (
-            remaining
-            and rounds < budget
-            and any(cell not in candidate_set for cell in remaining.values())
-        ):
-            sweep = sorted(set(range(num_cells)) - candidate_set)
-            if sweep:
-                rounds += 1
-                used_fallback = True
-                paged += len(sweep)
-                delivered = {
-                    cell for cell in sweep if injector.page_delivered(cell, time)
-                }
-                _collect_answers(remaining, found, delivered)
-
-        # Phase 4 — graceful degradation: the conference proceeds without
-        # whoever is still missing once the budget is exhausted.
-        return PagingOutcome(
-            found_cells=found,
-            cells_paged=paged,
-            rounds_used=rounds,
-            used_fallback=used_fallback,
-            failed_devices=tuple(sorted(remaining)),
-            retries_used=retries,
+        return execute_search(
+            self._pager.plan(instance, cells),
+            cells,
+            true_cells,
+            max_rounds,
+            num_cells,
+            injector=self._injector,
+            policy=self._policy,
+            time=time,
         )

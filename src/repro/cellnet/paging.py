@@ -1,22 +1,32 @@
 """The paging engine: executing search strategies over real cells.
 
 Bridges the optimizer (which works on a contiguous sub-instance) and the
-simulated network (global cell ids, true device positions).  A search:
+simulated network (global cell ids, true device positions).  Every
+synchronous search is the same three steps:
 
-1. restricts each wanted device's prior to the candidate cells and
-   renormalizes,
-2. plans a strategy — blanket (the GSM baseline), the paper's heuristic, or
-   the adaptive replanner,
-3. pages group by group against the true locations, counting every cell
-   paged, and
-4. falls back to sweeping the rest of the network if a device was outside
-   the candidate set (possible under lazy reporting policies).
+1. :func:`build_sub_instance` restricts each wanted device's prior to the
+   candidate cells and renormalizes;
+2. the pager's ``plan`` step turns the sub-instance into groups of global
+   cells, one group per round — one group (blanket, the GSM baseline), the
+   paper's heuristic, its cost-weighted analogue, or the rounds of the
+   adaptive replanner;
+3. :func:`execute_search` pages the groups against the true locations,
+   counting every cell paged, and sweeps the rest of the network if a
+   device was outside the candidate set (possible under lazy reporting
+   policies).
+
+Given a fault injector and a recovery policy, the same executor is the
+fault-aware search of :class:`~repro.cellnet.faults.ResilientPager`:
+lost pages, re-page retries with backoff, and graceful degradation at the
+delay budget.  The contention engine queues the plan step's groups on its
+shared channels instead (:func:`~repro.cellnet.engine.plan_pending_call`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,13 +36,19 @@ from ..core.strategy import Strategy
 from ..errors import SimulationError
 from ..solvers import get_solver
 
+if TYPE_CHECKING:
+    from .faults import FaultInjector, RecoveryPolicy
+
+#: A page schedule: the global cell ids paged in each round, in order.
+Groups = List[List[int]]
+
 
 @dataclass(frozen=True)
 class PagingOutcome:
     """The result of one search operation.
 
-    The fault-free pagers always locate everyone, so ``failed_devices`` is
-    empty and ``retries_used`` zero for them; the fault-aware
+    The fault-free search always locates everyone, so ``failed_devices`` is
+    empty and ``retries_used`` zero for it; the fault-aware
     :class:`~repro.cellnet.faults.ResilientPager` fills both when a search
     degrades into a partial conference (docs/robustness.md).
     """
@@ -77,32 +93,125 @@ def build_sub_instance(
     return PagingInstance(rows, d, allow_zero=True), cells
 
 
-def page_with_strategy(
-    strategy: Strategy,
-    cell_map: Sequence[int],
+def execute_search(
+    groups: Sequence[Sequence[int]],
+    candidate_cells: Sequence[int],
     true_cells: Sequence[int],
-) -> Tuple[Dict[int, int], int, int, bool]:
-    """Execute an oblivious strategy; returns (found, paged, rounds, complete)."""
-    remaining = {device: cell for device, cell in enumerate(true_cells)}
+    max_rounds: int,
+    num_cells: int,
+    *,
+    injector: Optional["FaultInjector"] = None,
+    policy: Optional["RecoveryPolicy"] = None,
+    time: int = 0,
+) -> PagingOutcome:
+    """Page ``groups`` one round each against devices that stay put.
+
+    Devices sit at ``true_cells`` for the whole search.  The search runs
+    four phases and stops as soon as everyone has answered:
+
+    1. the planned groups, in order;
+    2. up to ``policy.max_retries`` re-pages of the whole candidate set,
+       retry ``k`` after a backoff wait of ``policy.backoff(k)`` rounds;
+    3. one sweep of the cells outside the candidate set, if a missing
+       device is there;
+    4. whoever is still missing goes into ``failed_devices``.
+
+    With neither ``injector`` nor ``policy`` this is the fault-free
+    search: every page is answered, there are no retries, and no round cap
+    applies, so a device outside the candidate set is found by the sweep
+    in the round after the plan (round d+1 after a d-round plan).  An
+    ``injector`` decides per page whether it is delivered at ``time``.  A
+    ``policy`` caps the search at ``policy.budget(max_rounds)`` rounds,
+    waits included: a retry or sweep that does not fit is skipped and the
+    call degrades.
+    """
+    if policy is None:
+        budget: float = math.inf
+        retry_waits: List[int] = []
+    else:
+        budget = policy.budget(max_rounds)
+        retry_waits = [policy.backoff(k) for k in range(1, policy.max_retries + 1)]
+    remaining = {device: int(cell) for device, cell in enumerate(true_cells)}
     found: Dict[int, int] = {}
     paged = 0
     rounds = 0
-    for group in strategy.groups:
-        rounds += 1
-        paged += len(group)
-        global_group = {cell_map[j] for j in group}
-        for device in list(remaining):
-            if remaining[device] in global_group:
+    retries = 0
+
+    def page(cells: Sequence[int]) -> None:
+        nonlocal paged
+        paged += len(cells)
+        if injector is None:
+            delivered = set(cells)
+        else:
+            delivered = {cell for cell in cells if injector.page_delivered(cell, time)}
+        for device in sorted(remaining):
+            if remaining[device] in delivered:
                 found[device] = remaining.pop(device)
+
+    for group in groups:
+        if not remaining or rounds >= budget:
+            break
+        rounds += 1
+        page(group)
+
+    # A lost page says nothing about where the device is, so a retry rules
+    # no cell out: it re-pages the whole candidate set.
+    candidate_set = set(candidate_cells)
+    for wait in retry_waits:
         if not remaining:
-            return found, paged, rounds, True
-    return found, paged, rounds, False
+            break
+        if rounds + wait + 1 > budget:
+            break  # the retry would overrun the delay constraint
+        rounds += wait + 1
+        retries += 1
+        page(sorted(candidate_set))
+
+    used_fallback = False
+    if (
+        remaining
+        and rounds < budget
+        and any(cell not in candidate_set for cell in remaining.values())
+    ):
+        sweep = sorted(set(range(num_cells)) - candidate_set)
+        if sweep:
+            rounds += 1
+            used_fallback = True
+            page(sweep)
+
+    return PagingOutcome(
+        found_cells=found,
+        cells_paged=paged,
+        rounds_used=rounds,
+        used_fallback=used_fallback,
+        failed_devices=tuple(sorted(remaining)),
+        retries_used=retries,
+    )
 
 
-class BlanketPager:
-    """The GSM MAP / IS-41 baseline: page every candidate cell at once."""
+def _global_groups(strategy: Strategy, cells: Sequence[int]) -> Groups:
+    """A sub-instance strategy's groups as global cell ids."""
+    return [[cells[j] for j in sorted(group)] for group in strategy.groups]
 
-    name = "blanket"
+
+class Pager:
+    """A paging policy: a plan step inside the shared fault-free search.
+
+    ``plan`` turns a sub-instance and its cell map into the groups to
+    page.  Only the fault-free :meth:`search` passes ``true_cells``: there
+    devices answer every page and do not move, so a pager may work out
+    online what it would page next (the adaptive replanner).  The fault
+    and contention paths plan obliviously, without them.
+    """
+
+    name: str
+
+    def plan(
+        self,
+        instance: PagingInstance,
+        cells: Sequence[int],
+        true_cells: Optional[Sequence[int]] = None,
+    ) -> Groups:
+        raise NotImplementedError
 
     def search(
         self,
@@ -112,17 +221,27 @@ class BlanketPager:
         max_rounds: int,
         num_cells: int,
     ) -> PagingOutcome:
-        cells = tuple(candidate_cells)
-        strategy = Strategy.single_round(len(cells))
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, cells, true_cells
-        )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
+        """The fault-free search: sub-instance, plan step, execute."""
+        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
+        groups = self.plan(instance, cells, true_cells)
+        return execute_search(groups, cells, true_cells, max_rounds, num_cells)
 
 
-class HeuristicPager:
+class BlanketPager(Pager):
+    """The GSM MAP / IS-41 baseline: page every candidate cell at once."""
+
+    name = "blanket"
+
+    def plan(
+        self,
+        instance: PagingInstance,
+        cells: Sequence[int],
+        true_cells: Optional[Sequence[int]] = None,
+    ) -> Groups:
+        return [list(cells)]
+
+
+class HeuristicPager(Pager):
     """The paper's e/(e-1) strategy within the delay budget.
 
     Plans come from the ``heuristic`` registry entry (``repro.solvers``),
@@ -134,107 +253,53 @@ class HeuristicPager:
     def __init__(self) -> None:
         self._planner = get_solver("heuristic")
 
-    def search(
+    def plan(
         self,
-        priors: Sequence[np.ndarray],
-        candidate_cells: Sequence[int],
-        true_cells: Sequence[int],
-        max_rounds: int,
-        num_cells: int,
-    ) -> PagingOutcome:
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
-        plan = self._planner(instance)
-        found, paged, rounds, complete = page_with_strategy(
-            plan.strategy, cells, true_cells
-        )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
+        instance: PagingInstance,
+        cells: Sequence[int],
+        true_cells: Optional[Sequence[int]] = None,
+    ) -> Groups:
+        return _global_groups(self._planner(instance).strategy, cells)
 
-    def search_many(
-        self,
-        priors_batch: Sequence[Sequence[np.ndarray]],
-        candidate_cells: Sequence[int],
-        true_cells_batch: Sequence[Sequence[int]],
-        max_rounds: int,
-        num_cells: int,
-    ) -> List[PagingOutcome]:
-        """Page many concurrent calls over one candidate set.
-
-        The paging-controller shape: one location area, a stack of calls,
-        one plan per call.  All same-device-count sub-instances are
-        planned in one ``run_batch`` kernel call; every plan is
-        bit-identical to what :meth:`search` would compute.
-        """
-        instances = []
-        cell_maps = []
-        for priors in priors_batch:
-            instance, cells = build_sub_instance(
-                priors, candidate_cells, max_rounds
-            )
-            instances.append(instance)
-            cell_maps.append(cells)
-        strategies: Dict[int, Strategy] = {}
-        by_devices: Dict[int, List[int]] = {}
-        for index, instance in enumerate(instances):
-            by_devices.setdefault(instance.num_devices, []).append(index)
-        for indices in by_devices.values():
-            plans = self._planner.run_batch([instances[i] for i in indices])
-            for row, index in enumerate(indices):
-                strategies[index] = plans.strategy(row)
-        outcomes = []
-        for index, true_cells in enumerate(true_cells_batch):
-            found, paged, rounds, complete = page_with_strategy(
-                strategies[index], cell_maps[index], true_cells
-            )
-            if complete:
-                outcomes.append(
-                    PagingOutcome(found, paged, rounds, used_fallback=False)
-                )
-            else:
-                outcomes.append(
-                    _fallback(
-                        found, paged, rounds, cell_maps[index], true_cells, num_cells
-                    )
-                )
-        return outcomes
+    # Bound on this class itself: bench/layers.py hooks the name through
+    # the class namespace.
+    search = Pager.search
 
 
-class AdaptivePager:
-    """The Section 5 adaptive replanner."""
+class AdaptivePager(Pager):
+    """The Section 5 adaptive replanner.
+
+    In the fault-free search the groups it pages online are exactly the
+    rounds of an :func:`~repro.core.adaptive.adaptive_search` trace against
+    the true cells.  Without them (faults, contention) a non-answer may be
+    a lost or deferred page, so eliminating cells on silence would be
+    unsound: it plans the oblivious heuristic strategy instead.
+    """
 
     name = "adaptive"
 
-    def search(
+    def __init__(self) -> None:
+        self._planner = get_solver("heuristic")
+
+    def plan(
         self,
-        priors: Sequence[np.ndarray],
-        candidate_cells: Sequence[int],
-        true_cells: Sequence[int],
-        max_rounds: int,
-        num_cells: int,
-    ) -> PagingOutcome:
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
+        instance: PagingInstance,
+        cells: Sequence[int],
+        true_cells: Optional[Sequence[int]] = None,
+    ) -> Groups:
+        if true_cells is None:
+            return _global_groups(self._planner(instance).strategy, cells)
         index_of = {cell: j for j, cell in enumerate(cells)}
-        inside = all(cell in index_of for cell in true_cells)
-        if not inside:
+        if not all(cell in index_of for cell in true_cells):
             # Some device left the candidate set; page it all, then sweep.
-            strategy = Strategy.single_round(len(cells))
-            found, paged, rounds, complete = page_with_strategy(
-                strategy, cells, true_cells
-            )
-            return _fallback(found, paged, rounds, cells, true_cells, num_cells)
-        local_locations = [index_of[cell] for cell in true_cells]
-        trace = adaptive_search(instance, local_locations)
-        found = {device: cell for device, cell in enumerate(true_cells)}
-        return PagingOutcome(
-            found_cells=found,
-            cells_paged=trace.cells_paged,
-            rounds_used=trace.rounds_used,
-            used_fallback=False,
+            return [list(cells)]
+        trace = adaptive_search(
+            instance, [index_of[cell] for cell in true_cells], planner=self._planner
         )
+        return [[cells[j] for j in group] for group in trace.groups]
 
 
-class CostAwarePager:
+class CostAwarePager(Pager):
     """Plans with heterogeneous per-cell paging costs (density ordering).
 
     ``costs`` maps every global cell id to a positive paging cost (airtime,
@@ -250,6 +315,16 @@ class CostAwarePager:
             raise SimulationError("paging costs must be strictly positive")
         self._costs = [float(cost) for cost in costs]
 
+    def plan(
+        self,
+        instance: PagingInstance,
+        cells: Sequence[int],
+        true_cells: Optional[Sequence[int]] = None,
+    ) -> Groups:
+        local_costs = [self._costs[cell] for cell in cells]
+        plan = get_solver("weighted-heuristic")(instance, costs=local_costs)
+        return _global_groups(plan.strategy, cells)
+
     def search(
         self,
         priors: Sequence[np.ndarray],
@@ -262,55 +337,17 @@ class CostAwarePager:
             raise SimulationError(
                 f"cost table covers {len(self._costs)} cells, network has {num_cells}"
             )
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
-        local_costs = [self._costs[cell] for cell in cells]
-        plan = get_solver("weighted-heuristic")(instance, costs=local_costs)
-        found, paged, rounds, complete = page_with_strategy(
-            plan.strategy, cells, true_cells
+        return super().search(
+            priors, candidate_cells, true_cells, max_rounds, num_cells
         )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
 
     def cost_of_cells(self, paged_cells: Sequence[int]) -> float:
         """Total cost of an explicit list of paged cells."""
         return sum(self._costs[cell] for cell in paged_cells)
 
 
-def _fallback(
-    found: Dict[int, int],
-    paged: int,
-    rounds: int,
-    searched_cells: Sequence[int],
-    true_cells: Sequence[int],
-    num_cells: int,
-) -> PagingOutcome:
-    """Sweep outside the candidate set for devices that were not found.
-
-    Models the system-wide page a real network issues when a device is not
-    where the registry believed: one extra round covering the complement.
-    """
-    searched = set(searched_cells)
-    missing = {
-        device: cell
-        for device, cell in enumerate(true_cells)
-        if device not in found
-    }
-    outside = {cell for cell in missing.values() if cell not in searched}
-    sweep = set(range(num_cells)) - searched
-    paged += len(sweep)
-    rounds += 1
-    for device, cell in missing.items():
-        found[device] = cell
-    if outside - sweep:
-        raise SimulationError("fallback sweep failed to cover a device")
-    return PagingOutcome(
-        found_cells=found, cells_paged=paged, rounds_used=rounds, used_fallback=True
-    )
-
-
 #: Registry of pager implementations by name (used by the simulator config).
-PAGER_FACTORIES: Dict[str, Callable[[], object]] = {
+PAGER_FACTORIES: Dict[str, Callable[[], Pager]] = {
     "blanket": BlanketPager,
     "heuristic": HeuristicPager,
     # Former name of the same pager, kept so stored configurations resolve.

@@ -41,7 +41,6 @@ import numpy as np
 from ..errors import SimulationError
 from ..obs.events import current_tracer
 from ..obs.instrument import span
-from ..solvers import get_solver
 from .calls import ARRIVAL_MODES, ConferenceCallRequest, PoissonConferenceCalls
 from .database import LocationRegistry
 from .engine import (
@@ -83,7 +82,7 @@ class SimulationConfig:
     call_rate: float = 0.05
     max_paging_rounds: int = 3
     reporting: str = "la"  # never | always | la | distance | timer
-    pager: str = "heuristic"  # blanket | heuristic | adaptive
+    pager: str = "heuristic"  # a PAGER_FACTORIES name
     distance_threshold: int = 2
     timer_period: int = 20
     prior_smoothing: float = 1.0
@@ -224,25 +223,24 @@ class CellularSimulator:
         # A zero fault model is bypassed entirely: no injector, no extra rng
         # draws, bit-identical runs to the fault-free engine on the same seed.
         self._injector: Optional[FaultInjector] = None
+        self._recovery: Optional[RecoveryPolicy] = None
         self._resilient: Optional[ResilientPager] = None
         if config.faults_active:
             assert config.faults is not None
             self._injector = FaultInjector(config.faults, rng, self._metrics)
+            self._recovery = (
+                config.recovery if config.recovery is not None else DEFAULT_RECOVERY
+            )
             self._resilient = ResilientPager(
-                config.pager,
-                self._injector,
-                config.recovery if config.recovery is not None else DEFAULT_RECOVERY,
+                config.pager, self._injector, self._recovery
             )
         self._calls = PoissonConferenceCalls(
             config.call_rate, len(mobility_models), mode=config.arrival_mode
         ) if len(mobility_models) >= 2 else None
         # Shared-channel contention: a finite channel_capacity switches the
         # engine from the synchronous legacy schedule to queued setup over
-        # per-cell page slots.  Every pager plans through the registry's
-        # Fig. 1 heuristic; "adaptive" plans its oblivious heuristic
-        # strategy (a non-answer under contention may be a deferred or lost
-        # page, so eliminating cells on silence would be unsound) and
-        # "blanket" bypasses planning entirely inside plan_pending_call.
+        # per-cell page slots.  Calls are planned by the pager's plan step
+        # (plan_pending_call) and executed by the ChannelScheduler.
         self._resource: Optional[ChannelResource] = None
         self._scheduler: Optional[ChannelScheduler] = None
         if config.contention_active:
@@ -250,7 +248,6 @@ class CellularSimulator:
             self._resource = ChannelResource(
                 topology.num_cells, config.channel_capacity, config.carriers
             )
-            self._planner = get_solver("heuristic")
             self._scheduler = ChannelScheduler(
                 self._resource,
                 self._metrics,
@@ -258,12 +255,7 @@ class CellularSimulator:
                 device_cell=self.device_cell,
                 on_found=self._on_found,
                 injector=self._injector,
-                recovery=(
-                    (config.recovery if config.recovery is not None
-                     else DEFAULT_RECOVERY)
-                    if self._injector is not None
-                    else None
-                ),
+                recovery=self._recovery,
                 on_complete=self._on_call_complete,
             )
         # Conditional priors need each device's one-step kernel; deriving it
@@ -546,16 +538,11 @@ class CellularSimulator:
 
         if config.faults is not None and config.faults.outages:
             resource = self._resource
-            tracer = current_tracer()
 
             def on_outage(event: Event) -> None:
                 cell, down = event.payload  # type: ignore[misc]
                 if resource is not None:
                     resource.set_down(cell, down)
-                if tracer.enabled:
-                    tracer.count(
-                        "engine.outage_transitions", 1 if down else 0
-                    )
 
             engine.on(OUTAGE_START, on_outage)
             engine.on(OUTAGE_END, on_outage)
@@ -583,20 +570,10 @@ class CellularSimulator:
         )
         priors = [self._prior(device, request.time) for device in participants]
         rounds = self._config.max_paging_rounds
-        if self._injector is not None:
-            recovery = (
-                self._config.recovery
-                if self._config.recovery is not None
-                else DEFAULT_RECOVERY
-            )
-            rounds = recovery.planning_rounds(rounds)
+        if self._recovery is not None:
+            rounds = self._recovery.planning_rounds(rounds)
         call = plan_pending_call(
-            request,
-            priors,
-            candidate_union,
-            rounds,
-            planner=self._planner,
-            blanket=self._config.pager == "blanket",
+            request, priors, candidate_union, rounds, pager=self._pager
         )
         self._scheduler.admit(call)
 

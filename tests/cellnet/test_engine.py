@@ -19,6 +19,7 @@ from repro.cellnet import (
 from repro.cellnet.engine import (
     ARRIVAL,
     MOVEMENT,
+    OUTAGE_END,
     OUTAGE_START,
     PAGING_ROUND,
 )
@@ -255,6 +256,25 @@ class TestContentionBehavior:
         assert "engine.queue_depth" in names
         assert "engine.pages_sent" in names
         assert "engine.slot_occupancy" in names
+
+    def test_outage_transitions_counted_per_event(self):
+        faults = FaultModel(outages=(
+            CellOutage(cell=0, start=5, end=20),
+            CellOutage(cell=3, start=10, end=30),
+        ))
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with use_tracer(tracer, close=False):
+            build_contention_simulator(horizon=60, faults=faults).run()
+        tracer.flush()
+        counters = {
+            event["name"]: event["value"]
+            for event in sink.events
+            if event.get("event") == "counter"
+        }
+        assert counters[f"engine.events.{OUTAGE_START}"] == 2
+        assert counters[f"engine.events.{OUTAGE_END}"] == 2
+        assert "engine.outage_transitions" not in counters
 
     def test_config_validation(self):
         with pytest.raises(SimulationError):

@@ -7,11 +7,15 @@ from repro.cellnet import (
     PAGER_FACTORIES,
     AdaptivePager,
     BlanketPager,
+    CostAwarePager,
+    FaultInjector,
+    FaultModel,
     HeuristicPager,
+    RecoveryPolicy,
+    ResilientPager,
     build_sub_instance,
-    page_with_strategy,
+    execute_search,
 )
-from repro.core import Strategy
 from repro.errors import SimulationError
 
 
@@ -44,23 +48,27 @@ class TestSubInstance:
 
 
 class TestPageWithStrategy:
+    """The executor on a fixed page schedule (global cell ids)."""
+
     def test_stops_when_all_found(self):
-        strategy = Strategy([[0, 1], [2, 3]])
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, (10, 11, 12, 13), true_cells=(10, 11)
+        outcome = execute_search(
+            [[10, 11], [12, 13]], (10, 11, 12, 13), true_cells=(10, 11),
+            max_rounds=2, num_cells=14,
         )
-        assert complete
-        assert (paged, rounds) == (2, 1)
-        assert found == {0: 10, 1: 11}
+        assert outcome.complete and not outcome.used_fallback
+        assert (outcome.cells_paged, outcome.rounds_used) == (2, 1)
+        assert outcome.found_cells == {0: 10, 1: 11}
 
     def test_incomplete_when_device_outside(self):
-        strategy = Strategy([[0, 1]])
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, (10, 11), true_cells=(10, 99)
+        # Under a policy the budget d=1 is spent on the plan: no sweep fits.
+        outcome = execute_search(
+            [[10, 11]], (10, 11), true_cells=(10, 99), max_rounds=1,
+            num_cells=100, policy=RecoveryPolicy(max_retries=0),
         )
-        assert not complete
-        assert found == {0: 10}
-        assert (paged, rounds) == (2, 1)
+        assert not outcome.complete
+        assert outcome.failed_devices == (1,)
+        assert outcome.found_cells == {0: 10}
+        assert (outcome.cells_paged, outcome.rounds_used) == (2, 1)
 
 
 class TestPagers:
@@ -102,6 +110,13 @@ class TestPagers:
         assert outcome.found_cells == {0: 3, 1: 4}
         assert outcome.rounds_used <= 3
 
+    def test_adaptive_plans_obliviously_without_true_cells(self, rng):
+        priors = [rng.dirichlet(np.ones(6)) for _ in range(2)]
+        instance, cells = build_sub_instance(priors, [1, 2, 3, 5], max_rounds=3)
+        assert AdaptivePager().plan(instance, cells) == HeuristicPager().plan(
+            instance, cells
+        )
+
     def test_adaptive_fallback_outside_candidates(self):
         pager = AdaptivePager()
         outcome = pager.search(
@@ -111,61 +126,74 @@ class TestPagers:
         assert outcome.found_cells == {0: 5}
 
 
-class TestSearchMany:
-    def _batch(self, rng, num_calls, num_cells):
-        priors_batch = []
-        true_cells_batch = []
-        for call in range(num_calls):
-            devices = 1 + call % 3  # mixed device counts across the batch
-            priors_batch.append([rng.dirichlet(np.ones(num_cells)) for _ in range(devices)])
-            true_cells_batch.append([call % num_cells] * devices)
-        return priors_batch, true_cells_batch
+def _random_call(rng, num_cells, *, outside):
+    """Seeded priors, a candidate set, and true cells for one search."""
+    devices = int(rng.integers(1, 4))
+    priors = [rng.dirichlet(np.ones(num_cells)) for _ in range(devices)]
+    size = int(rng.integers(2, num_cells - 1))
+    candidates = sorted(int(c) for c in rng.choice(num_cells, size, replace=False))
+    others = [cell for cell in range(num_cells) if cell not in candidates]
+    true_cells = [int(rng.choice(candidates)) for _ in range(devices)]
+    if outside:
+        true_cells[int(rng.integers(devices))] = int(rng.choice(others))
+    return priors, candidates, true_cells
 
-    # "heuristic-batch" is the former name of the same pager.
-    @pytest.mark.parametrize("solver", ["heuristic", "heuristic-batch"])
-    def test_matches_per_call_search(self, rng, solver):
-        num_cells = 10
-        candidates = list(range(num_cells))
-        priors_batch, true_cells_batch = self._batch(rng, 7, num_cells)
-        pager = PAGER_FACTORIES[solver]()
-        assert isinstance(pager, HeuristicPager)
-        many = pager.search_many(
-            priors_batch, candidates, true_cells_batch, max_rounds=3,
-            num_cells=num_cells,
-        )
-        assert len(many) == 7
-        for priors, true_cells, outcome in zip(
-            priors_batch, true_cells_batch, many
-        ):
-            single = pager.search(
-                priors, candidates, true_cells, max_rounds=3, num_cells=num_cells
-            )
-            assert outcome.found_cells == single.found_cells
-            assert outcome.cells_paged == single.cells_paged
-            assert outcome.rounds_used == single.rounds_used
-            assert outcome.used_fallback == single.used_fallback
 
-    def test_fallback_calls_still_resolve(self, rng):
-        # Device 0 of call 1 sits outside the candidate set -> sweep.
-        num_cells = 12
-        candidates = [0, 1, 2, 3]
-        priors_batch = [
-            [rng.dirichlet(np.ones(num_cells))],
-            [rng.dirichlet(np.ones(num_cells))],
-        ]
-        outcomes = HeuristicPager().search_many(
-            priors_batch, candidates, [[2], [9]], max_rounds=2,
-            num_cells=num_cells,
+class TestSynchronousModes:
+    """The fault-free search is the zero-fault case of the resilient one."""
+
+    NUM_CELLS = 12
+
+    def _resilient(self, pager):
+        injector = FaultInjector(FaultModel(), np.random.default_rng(0))
+        return ResilientPager(pager, injector, RecoveryPolicy(max_retries=0))
+
+    @pytest.mark.parametrize("pager", ["blanket", "heuristic"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_when_every_device_is_a_candidate(self, pager, seed):
+        rng = np.random.default_rng(seed)
+        priors, candidates, true_cells = _random_call(
+            rng, self.NUM_CELLS, outside=False
         )
-        assert not outcomes[0].used_fallback or outcomes[0].found_cells == {0: 2}
-        assert outcomes[1].used_fallback
-        assert outcomes[1].found_cells == {0: 9}
+        d = int(rng.integers(1, 5))
+        plain = PAGER_FACTORIES[pager]().search(
+            priors, candidates, true_cells, d, self.NUM_CELLS
+        )
+        resilient = self._resilient(pager).search(
+            priors, candidates, true_cells, d, self.NUM_CELLS
+        )
+        assert resilient == plain
+        assert plain.complete and not plain.used_fallback
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sweep_at_d_plus_one_versus_degrade_at_d(self, seed):
+        rng = np.random.default_rng(seed)
+        priors, candidates, true_cells = _random_call(
+            rng, self.NUM_CELLS, outside=True
+        )
+        d = int(rng.integers(1, 5))
+        rounds = min(d, len(candidates))  # the plan's group count
+        plain = HeuristicPager().search(
+            priors, candidates, true_cells, rounds, self.NUM_CELLS
+        )
+        resilient = self._resilient("heuristic").search(
+            priors, candidates, true_cells, rounds, self.NUM_CELLS
+        )
+        outside = tuple(
+            device for device, cell in enumerate(true_cells)
+            if cell not in candidates
+        )
+        assert plain.used_fallback and plain.complete
+        assert plain.rounds_used == rounds + 1
+        assert plain.found_cells == dict(enumerate(true_cells))
+        assert not resilient.used_fallback
+        assert resilient.rounds_used == rounds
+        assert resilient.failed_devices == outside
+        assert resilient.cells_paged == len(candidates)
 
 
 class TestCostAwarePager:
     def test_finds_devices(self, rng):
-        from repro.cellnet import CostAwarePager
-
         costs = [float(v) for v in rng.uniform(1.0, 5.0, size=8)]
         pager = CostAwarePager(costs)
         priors = [rng.dirichlet(np.ones(8)) for _ in range(2)]
@@ -176,8 +204,6 @@ class TestCostAwarePager:
         assert outcome.rounds_used <= 3
 
     def test_unit_costs_match_heuristic_pager(self, rng):
-        from repro.cellnet import CostAwarePager, HeuristicPager
-
         priors = [rng.dirichlet(np.ones(6)) for _ in range(2)]
         flat = CostAwarePager([1.0] * 6).search(
             priors, list(range(6)), true_cells=[0, 1], max_rounds=3, num_cells=6
@@ -189,8 +215,6 @@ class TestCostAwarePager:
 
     def test_avoids_expensive_cells_early(self, rng):
         """A pricey cell leaves the first round when costs are considered."""
-        from repro.cellnet import CostAwarePager
-
         priors = [np.full(6, 1.0 / 6) for _ in range(2)]
         priors[0] = np.array([0.4, 0.12, 0.12, 0.12, 0.12, 0.12])
         costs = [50.0, 1.0, 1.0, 1.0, 1.0, 1.0]
@@ -202,8 +226,6 @@ class TestCostAwarePager:
         assert outcome.found_cells == {0: 1, 1: 2}
 
     def test_validation(self):
-        from repro.cellnet import CostAwarePager
-
         with pytest.raises(SimulationError):
             CostAwarePager([1.0, 0.0])
         pager = CostAwarePager([1.0] * 4)
@@ -214,7 +236,5 @@ class TestCostAwarePager:
             )
 
     def test_cost_of_cells(self):
-        from repro.cellnet import CostAwarePager
-
         pager = CostAwarePager([1.0, 2.0, 3.0])
         assert pager.cost_of_cells([0, 2]) == 4.0
