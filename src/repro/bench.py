@@ -515,9 +515,11 @@ def _bench_contention(
     :class:`~repro.cellnet.engine.ChannelScheduler` — and records the run's
     blocking probability in the row params so throughput is never read
     apart from the loss it came with.  ``contention_legacy_path`` times the
-    *same* network with ``channel_capacity=None``: the engine façade
-    replaying the historic step loop, i.e. the refactor's overhead on every
-    pre-existing configuration.
+    same network and seed with ``channel_capacity=None`` (the engine façade
+    replaying the historic step loop) at a light load: Bernoulli arrivals
+    at ``call_rate`` 0.1 on one carrier.  Load and arrival process both
+    differ from the engine row, so the pair is no measure of the engine's
+    overhead; the legacy row records the parameters it actually runs.
     """
     from .cellnet import (
         CellTopology,
@@ -567,6 +569,8 @@ def _bench_contention(
     legacy_params = dict(config)
     legacy_params["call_rate"] = 0.1
     legacy_params["capacity"] = None
+    legacy_params["carriers"] = 1
+    legacy_params["arrival_mode"] = "bernoulli"
     return [
         BenchmarkTiming("contention_engine", engine_params, engine_times),
         BenchmarkTiming("contention_legacy_path", legacy_params, legacy_times),

@@ -177,25 +177,41 @@ class ChannelResource:
         self.slots_per_cell = capacity * carriers
         self._used = [0] * num_cells
         self._down: Set[int] = set()
+        self._closed: Set[int] = set()
+
+    @property
+    def closed(self) -> Set[int]:
+        """Cells that refuse every page this round: down, or out of slots.
+
+        The live set, maintained by :meth:`acquire`, :meth:`begin_round`
+        and :meth:`set_down`; read it, do not modify it.
+        """
+        return self._closed
 
     def begin_round(self) -> None:
         """Reset every cell's slot count for a new round (time step)."""
         self._used = [0] * self.num_cells
+        self._closed = set(self._down)
 
     def set_down(self, cell: int, down: bool) -> None:
         if down:
             self._down.add(cell)
+            self._closed.add(cell)
         else:
             self._down.discard(cell)
+            if self._used[cell] < self.slots_per_cell:
+                self._closed.discard(cell)
 
     def is_down(self, cell: int) -> bool:
         return cell in self._down
 
     def acquire(self, cell: int) -> bool:
         """Take one page slot on ``cell`` this round, if any remains."""
-        if cell in self._down or self._used[cell] >= self.slots_per_cell:
+        if cell in self._closed:
             return False
         self._used[cell] += 1
+        if self._used[cell] >= self.slots_per_cell:
+            self._closed.add(cell)
         return True
 
     def used(self, cell: int) -> int:
@@ -282,8 +298,9 @@ class ChannelScheduler:
         self._recovery = recovery
         self._on_complete = on_complete
         self._queue: List[PendingCall] = []
-        #: calls parked on a retry backoff (their RETRY event is in flight)
-        self._awaiting_retry: List[PendingCall] = []
+        #: calls parked on a retry backoff (their RETRY event is in flight),
+        #: by ``id``, in the order they were parked
+        self._awaiting_retry: Dict[int, PendingCall] = {}
 
     @property
     def active_calls(self) -> int:
@@ -293,54 +310,84 @@ class ChannelScheduler:
         self._queue.append(call)
         self._metrics.record_offered_call()
 
-    def _page_one(self, call: PendingCall, cell: int, time: int) -> None:
-        """Send one page to ``cell``; collect any answering participants."""
-        call.cells_paged += 1
-        delivered = True
-        if self._injector is not None:
-            delivered = self._injector.page_delivered(cell, time)
-        if not delivered:
-            return
-        for local in sorted(call.remaining):
-            device = call.remaining[local]
-            if self._device_cell(device) == cell:
+    def _page_phase(self, call: PendingCall, phase: _Phase, time: int) -> int:
+        """Page as much of ``phase`` as the channels allow this round.
+
+        Collects the participants that answer and returns the number of
+        pages sent.  Devices do not move inside a round, so each unfound
+        participant's cell is looked up once, at the first page sent; the
+        participants a page finds answer in ascending local order.
+        """
+        resource = self._resource
+        closed = resource.closed
+        injector = self._injector
+        remaining = call.remaining
+        located: Optional[Dict[int, List[int]]] = None
+        sent = 0
+        still_pending: List[int] = []
+        for cell in phase.pending:
+            if not remaining:
+                break  # everyone answered; stop paging mid-group
+            if cell in closed:  # no slot left here this round
+                still_pending.append(cell)
+                continue
+            resource.acquire(cell)
+            sent += 1
+            if injector is not None and not injector.page_delivered(cell, time):
+                continue
+            if located is None:
+                located = {}
+                for local, device in remaining.items():
+                    located.setdefault(self._device_cell(device), []).append(local)
+            for local in located.pop(cell, ()):
+                device = remaining.pop(local)
                 call.found_cells[local] = cell
-                del call.remaining[local]
                 self._on_found(device, cell, time)
+        phase.pending = still_pending
+        call.cells_paged += sent
+        return sent
 
-    def _escalate(self, call: PendingCall, time: int, engine: EventEngine) -> bool:
-        """Append the next phase after an exhausted one.
+    def _park_for_retry(
+        self, call: PendingCall, time: int, engine: EventEngine
+    ) -> bool:
+        """Schedule a re-page of the candidate set, if the policy allows one.
 
-        Returns True when a new phase was (or will be) added — retries are
-        scheduled as engine ``retry`` events after their backoff wait, so
-        a retry *competes for slots like a fresh page* when it fires.
+        Retries run as engine ``retry`` events after their backoff wait, so
+        a retry *competes for slots like a fresh page* when it fires; the
+        call waits outside the queue until then.
         """
         if (
-            self._injector is not None
-            and self._recovery is not None
-            and call.retries_used < self._recovery.max_retries
+            self._injector is None
+            or self._recovery is None
+            or call.retries_used >= self._recovery.max_retries
         ):
-            call.retries_used += 1
-            wait = self._recovery.backoff(call.retries_used)
-            self._queue.remove(call)
-            self._awaiting_retry.append(call)
-            engine.schedule(Event(time + wait, RETRY, call))
-            return True
-        if not call.used_fallback:
-            # The network-wide sweep: devices may have moved out of (or
-            # around) the candidate set while the call sat in the queue.
-            call.used_fallback = True
-            call.phases.append(
-                _Phase(PHASE_FALLBACK, list(range(self._resource.num_cells)))
-            )
-            return True
-        return False
+            return False
+        call.retries_used += 1
+        wait = self._recovery.backoff(call.retries_used)
+        self._awaiting_retry[id(call)] = call
+        engine.schedule(Event(time + wait, RETRY, call))
+        return True
+
+    def _add_fallback(self, call: PendingCall) -> bool:
+        """Append the network-wide sweep, once per call.
+
+        Devices may have moved out of (or around) the candidate set while
+        the call sat in the queue.  Returns False when the sweep was
+        already spent.
+        """
+        if call.used_fallback:
+            return False
+        call.used_fallback = True
+        call.phases.append(
+            _Phase(PHASE_FALLBACK, list(range(self._resource.num_cells)))
+        )
+        return True
 
     def on_retry(self, event: Event, engine: EventEngine) -> None:
         """A backoff wait ended: re-admit the call with a re-page phase."""
         call = event.payload
         assert isinstance(call, PendingCall)
-        self._awaiting_retry.remove(call)
+        del self._awaiting_retry[id(call)]
         if not call.remaining:  # everyone answered before the retry fired
             self._complete(call, event.time)
             return
@@ -382,27 +429,23 @@ class ChannelScheduler:
         """One shared paging round: every pending call, FIFO, slot-limited."""
         resource = self._resource
         resource.begin_round()
+        closed = resource.closed
         tracer = current_tracer()
         if tracer.enabled:
             tracer.observe("engine.queue_depth", self.active_calls)
+        queued: List[PendingCall] = []
         finished: List[PendingCall] = []
         blocked: List[PendingCall] = []
-        for call in list(self._queue):
+        for call in self._queue:
             phase = call.current_phase
             if phase is None:  # freshly admitted with an empty plan
                 finished.append(call)
                 continue
-            sent = 0
-            still_pending: List[int] = []
-            for cell in phase.pending:
-                if not call.remaining:
-                    break  # everyone answered; stop paging mid-group
-                if resource.acquire(cell):
-                    sent += 1
-                    self._page_one(call, cell, time)
-                else:
-                    still_pending.append(cell)
-            phase.pending = still_pending
+            # A call whose every pending cell is closed gets no slot: it is
+            # deferred without asking the channels.
+            sent = 0 if closed.issuperset(phase.pending) else self._page_phase(
+                call, phase, time
+            )
             if not call.remaining:
                 call.rounds_used += 1
                 finished.append(call)
@@ -414,20 +457,23 @@ class ChannelScheduler:
                     tracer.count("engine.deferred_steps")
                 if call.waited > self._max_wait:
                     blocked.append(call)
+                else:
+                    queued.append(call)
                 continue
             call.rounds_used += 1
             if not phase.pending:
                 call.phase_index += 1
-                if call.current_phase is None and not self._escalate(
-                    call, time, engine
-                ):
-                    finished.append(call)  # degraded: budget exhausted
+                if call.current_phase is None:
+                    if self._park_for_retry(call, time, engine):
+                        continue
+                    if not self._add_fallback(call):
+                        finished.append(call)  # degraded: budget exhausted
+                        continue
+            queued.append(call)
+        self._queue = queued
         for call in finished:
-            if call in self._queue:
-                self._queue.remove(call)
             self._complete(call, time)
         for call in blocked:
-            self._queue.remove(call)
             self._block(call, time)
         used = resource.used_total
         if tracer.enabled:
@@ -446,7 +492,7 @@ class ChannelScheduler:
         for call in self._queue:
             self._complete(call, time)
         self._queue.clear()
-        for call in self._awaiting_retry:
+        for call in self._awaiting_retry.values():
             self._complete(call, time)
         self._awaiting_retry.clear()
 

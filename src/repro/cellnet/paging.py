@@ -33,8 +33,8 @@ import numpy as np
 from ..core.adaptive import adaptive_search
 from ..core.instance import PagingInstance
 from ..core.strategy import Strategy
-from ..errors import SimulationError
-from ..solvers import get_solver
+from ..errors import InvalidInstanceError, InvalidStrategyError, SimulationError
+from ..solvers import RegisteredSolver, get_solver
 
 if TYPE_CHECKING:
     from .faults import FaultInjector, RecoveryPolicy
@@ -85,10 +85,15 @@ def build_sub_instance(
     cells = tuple(int(cell) for cell in candidate_cells)
     if not cells:
         raise SimulationError("cannot page an empty candidate set")
-    rows = []
-    for prior in priors:
-        restricted = np.array([max(float(prior[cell]), floor) for cell in cells])
-        rows.append(restricted / restricted.sum())
+    if not len(priors):
+        raise InvalidInstanceError("instance needs at least one device and one cell")
+    # One gather of the candidate columns.  The row sums below must run over
+    # C-contiguous rows to round exactly like a per-row ``sum()``: over a
+    # column-major gather they differ in the last bit.
+    rows = np.ascontiguousarray(np.array(priors, dtype=np.float64).take(cells, axis=1))
+    np.maximum(rows, floor, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows.setflags(write=False)
     d = max(1, min(int(max_rounds), len(cells)))
     return PagingInstance(rows, d, allow_zero=True), cells
 
@@ -193,6 +198,37 @@ def _global_groups(strategy: Strategy, cells: Sequence[int]) -> Groups:
     return [[cells[j] for j in sorted(group)] for group in strategy.groups]
 
 
+def _heuristic_groups(
+    planner: RegisteredSolver, instance: PagingInstance, cells: Sequence[int]
+) -> Groups:
+    """The Fig. 1 plan of ``instance`` as global cell ids, one group a round.
+
+    A float instance goes straight to the planner's batch entry point as a
+    batch of one, and its order is cut into groups here, with the checks
+    :meth:`~repro.core.strategy.Strategy.from_order_and_sizes` makes; an
+    exact one keeps the reference planner's ``Fraction`` arithmetic.
+    """
+    if instance.is_exact:
+        return _global_groups(planner(instance).strategy, cells)
+    plan = planner.run_batch(
+        instance.float_rows()[None], max_rounds=instance.max_rounds
+    )
+    order = plan.orders[0].tolist()
+    sizes = plan.group_sizes[0].tolist()
+    if sum(sizes) != len(order):
+        raise InvalidStrategyError(
+            f"group sizes {tuple(sizes)} do not sum to {len(order)} cells"
+        )
+    groups: Groups = []
+    start = 0
+    for size in sizes:
+        if size <= 0:
+            raise InvalidStrategyError("group sizes must be positive")
+        groups.append([cells[j] for j in sorted(order[start : start + size])])
+        start += size
+    return groups
+
+
 class Pager:
     """A paging policy: a plan step inside the shared fault-free search.
 
@@ -259,7 +295,7 @@ class HeuristicPager(Pager):
         cells: Sequence[int],
         true_cells: Optional[Sequence[int]] = None,
     ) -> Groups:
-        return _global_groups(self._planner(instance).strategy, cells)
+        return _heuristic_groups(self._planner, instance, cells)
 
     # Bound on this class itself: bench/layers.py hooks the name through
     # the class namespace.
@@ -288,7 +324,7 @@ class AdaptivePager(Pager):
         true_cells: Optional[Sequence[int]] = None,
     ) -> Groups:
         if true_cells is None:
-            return _global_groups(self._planner(instance).strategy, cells)
+            return _heuristic_groups(self._planner, instance, cells)
         index_of = {cell: j for j, cell in enumerate(cells)}
         if not all(cell in index_of for cell in true_cells):
             # Some device left the candidate set; page it all, then sweep.

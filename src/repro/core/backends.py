@@ -115,17 +115,22 @@ def _object_digest(source: str, compiler: str, version: str) -> str:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the kernel signatures.
+
+    Array arguments are plain addresses (``array.ctypes.data``): a typed
+    ``POINTER`` would cost a ctypes cast per array per call.  Callers
+    guarantee dtype (``double``, ``ssize_t``, ``unsigned char``) and C
+    contiguity by allocating with ``np.empty`` or ``np.ascontiguousarray``.
+    """
     ssize = ctypes.c_ssize_t
-    dptr = ctypes.POINTER(ctypes.c_double)
-    iptr = ctypes.POINTER(ssize)
-    bptr = ctypes.POINTER(ctypes.c_ubyte)
+    ptr = ctypes.c_void_p
     lib.repro_plan_batch.restype = ctypes.c_int
     lib.repro_plan_batch.argtypes = [
-        dptr, ssize, ssize, ssize, ssize, ssize, iptr, iptr, dptr, bptr,
+        ptr, ssize, ssize, ssize, ssize, ssize, ptr, ptr, ptr, ptr,
     ]
     lib.repro_optimize_cuts_batch.restype = ctypes.c_int
     lib.repro_optimize_cuts_batch.argtypes = [
-        dptr, ssize, ssize, ssize, ssize, iptr, dptr, bptr,
+        ptr, ssize, ssize, ssize, ssize, ptr, ptr, ptr,
     ]
     return lib
 

@@ -36,7 +36,6 @@ would.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
@@ -234,11 +233,8 @@ def _cut_dp_compiled(
     values = np.empty(batch, dtype=np.float64)
     feasible = np.empty(batch, dtype=np.uint8)
     status = lib.repro_optimize_cuts_batch(
-        finds.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        batch, c, d, b,
-        sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        feasible.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        finds.ctypes.data, batch, c, d, b,
+        sizes.ctypes.data, values.ctypes.data, feasible.ctypes.data,
     )
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")
@@ -393,12 +389,9 @@ def _plan_compiled(
     values = np.empty(batch, dtype=np.float64)
     feasible = np.empty(batch, dtype=np.uint8)
     status = lib.repro_plan_batch(
-        stacked.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        batch, m, c, d, b,
-        orders.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        feasible.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        stacked.ctypes.data, batch, m, c, d, b,
+        orders.ctypes.data, sizes.ctypes.data, values.ctypes.data,
+        feasible.ctypes.data,
     )
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")

@@ -14,6 +14,7 @@ some entries vanish.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -31,6 +32,16 @@ def _is_exact(value: Number) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _reject_entry(i: int, j: int, p: object, allow_zero: bool) -> None:
+    """Raise for an entry that is not a valid probability."""
+    if not math.isfinite(float(p)):  # type: ignore[arg-type]
+        raise InvalidInstanceError(f"probability p[{i}][{j}]={p!r} must be finite")
+    raise InvalidInstanceError(
+        f"probability p[{i}][{j}]={p!r} must be "
+        + ("non-negative" if allow_zero else "strictly positive")
+    )
+
+
 class PagingInstance:
     """An instance of the Conference Call problem.
 
@@ -39,7 +50,9 @@ class PagingInstance:
     probabilities:
         ``m`` rows of length ``c``; row ``i`` is the distribution of device
         ``i`` over cells.  Rows must sum to 1 (exactly for Fraction rows,
-        within :data:`FLOAT_ROW_TOLERANCE` for float rows).
+        within :data:`FLOAT_ROW_TOLERANCE` for float rows), and every entry
+        must be finite.  A 2-D ``float64`` array is kept as the instance's
+        :meth:`float_rows` (the row tuples are built only when read).
     max_rounds:
         The delay constraint ``d`` with ``1 <= d <= c``.
     allow_zero:
@@ -59,32 +72,80 @@ class PagingInstance:
 
     def __init__(
         self,
-        probabilities: Sequence[Sequence[Number]],
+        probabilities: Union[Sequence[Sequence[Number]], np.ndarray],
         max_rounds: int,
         *,
         allow_zero: bool = False,
         validate: bool = True,
     ) -> None:
+        self._max_rounds = int(max_rounds)
+        self._cumulative_rows: Optional[np.ndarray] = None
+        if (
+            isinstance(probabilities, np.ndarray)
+            and probabilities.ndim == 2
+            and probabilities.dtype == np.float64
+        ):
+            self._init_array(probabilities, allow_zero, validate)
+            return
         rows = tuple(tuple(row) for row in probabilities)
         if not rows or not rows[0]:
             raise InvalidInstanceError("instance needs at least one device and one cell")
-        self._rows = rows
+        self._rows: Optional[Tuple[Tuple[Number, ...], ...]] = rows
         self._num_devices = len(rows)
         self._num_cells = len(rows[0])
-        self._max_rounds = int(max_rounds)
         self._exact = all(_is_exact(p) for row in rows for p in row)
         self._float_rows: Optional[np.ndarray] = None
-        self._cumulative_rows: Optional[np.ndarray] = None
         if validate:
             self._validate(allow_zero)
 
-    def _validate(self, allow_zero: bool) -> None:
+    def _init_array(self, matrix: np.ndarray, allow_zero: bool, validate: bool) -> None:
+        """The float fast path: keep the matrix, build row tuples on demand.
+
+        A read-only C-contiguous matrix is shared as is; any other one is
+        copied, so the instance's :meth:`float_rows` can never change under
+        it.  Validation checks the same conditions as the tuple path,
+        vectorised, and reports the first offending row the same way.
+        """
+        num_devices, num_cells = matrix.shape
+        if not num_devices or not num_cells:
+            raise InvalidInstanceError("instance needs at least one device and one cell")
+        if matrix.flags.writeable or not matrix.flags.c_contiguous:
+            matrix = matrix.copy()
+            matrix.setflags(write=False)
+        self._rows = None
+        self._num_devices = num_devices
+        self._num_cells = num_cells
+        self._exact = False
+        self._float_rows = matrix
+        if not validate:
+            return
+        self._validate_rounds()
+        sums = matrix.sum(axis=1)
+        bad_sum = np.abs(sums - 1.0) > FLOAT_ROW_TOLERANCE
+        bad_entry = ~np.isfinite(matrix) | (matrix < 0)
+        if not allow_zero:
+            bad_entry |= matrix == 0
+        bad_row = bad_sum | bad_entry.any(axis=1)
+        if bad_row.any():
+            i = int(np.argmax(bad_row))
+            if bad_sum[i]:
+                raise InvalidInstanceError(
+                    f"row {i} sums to {float(sums[i])!r}, expected 1 within tolerance"
+                )
+            j = int(np.argmax(bad_entry[i]))
+            _reject_entry(i, j, float(matrix[i, j]), allow_zero)
+
+    def _validate_rounds(self) -> None:
         c = self._num_cells
         if not 1 <= self._max_rounds <= c:
             raise InvalidInstanceError(
                 f"max_rounds must satisfy 1 <= d <= c={c}, got {self._max_rounds}"
             )
-        for i, row in enumerate(self._rows):
+
+    def _validate(self, allow_zero: bool) -> None:
+        self._validate_rounds()
+        c = self._num_cells
+        for i, row in enumerate(self.rows):
             if len(row) != c:
                 raise InvalidInstanceError(
                     f"row {i} has length {len(row)}, expected {c}"
@@ -99,11 +160,12 @@ class PagingInstance:
                 )
             for j, p in enumerate(row):
                 value = float(p)
-                if value < 0 or (value == 0 and not allow_zero):
-                    raise InvalidInstanceError(
-                        f"probability p[{i}][{j}]={p!r} must be "
-                        + ("non-negative" if allow_zero else "strictly positive")
-                    )
+                if (
+                    not math.isfinite(value)
+                    or value < 0
+                    or (value == 0 and not allow_zero)
+                ):
+                    _reject_entry(i, j, p, allow_zero)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -130,16 +192,23 @@ class PagingInstance:
 
     @property
     def rows(self) -> Tuple[Tuple[Number, ...], ...]:
-        """The probability matrix as a tuple of row tuples."""
+        """The probability matrix as a tuple of row tuples.
+
+        An instance built from a float array builds its tuples on first
+        read, holding the array's ``float64`` scalars.
+        """
+        if self._rows is None:
+            assert self._float_rows is not None
+            self._rows = tuple(tuple(row) for row in self._float_rows)
         return self._rows
 
     def row(self, device: int) -> Tuple[Number, ...]:
         """The distribution of one device across cells."""
-        return self._rows[device]
+        return self.rows[device]
 
     def probability(self, device: int, cell: int) -> Number:
         """The probability that ``device`` is located in ``cell``."""
-        return self._rows[device][cell]
+        return self.rows[device][cell]
 
     def float_rows(self) -> np.ndarray:
         """The probability matrix as a cached, read-only ``float64`` array.
@@ -152,7 +221,7 @@ class PagingInstance:
         """
         if self._float_rows is None:
             rows = np.array(
-                [[float(p) for p in row] for row in self._rows], dtype=np.float64
+                [[float(p) for p in row] for row in self.rows], dtype=np.float64
             )
             rows.setflags(write=False)
             self._float_rows = rows
@@ -179,7 +248,7 @@ class PagingInstance:
 
         This is the key used by the paper's heuristic ordering (Section 4).
         """
-        return sum(row[cell] for row in self._rows)
+        return sum(row[cell] for row in self.rows)
 
     def cell_weights(self) -> Tuple[Number, ...]:
         """Expected device counts for every cell."""
@@ -202,7 +271,7 @@ class PagingInstance:
         out.append(zero if self._num_devices else one)
         for cell in order:
             product = one
-            for i, row in enumerate(self._rows):
+            for i, row in enumerate(self.rows):
                 sums[i] = sums[i] + row[cell]
                 product = product * sums[i]
             out.append(product)
@@ -214,7 +283,7 @@ class PagingInstance:
     def with_max_rounds(self, max_rounds: int) -> "PagingInstance":
         """A copy of this instance with a different delay constraint."""
         return PagingInstance(
-            self._rows, max_rounds, allow_zero=True, validate=True
+            self.rows, max_rounds, allow_zero=True, validate=True
         )
 
     def restrict(
@@ -240,7 +309,7 @@ class PagingInstance:
             raise InvalidInstanceError("restriction needs at least one device and cell")
         new_rows = []
         for i in device_list:
-            row = self._rows[i]
+            row = self.rows[i]
             mass = sum(row[j] for j in cells)
             if float(mass) <= 0.0:
                 raise InvalidInstanceError(
@@ -252,7 +321,7 @@ class PagingInstance:
 
     def to_float(self) -> "PagingInstance":
         """A float-valued copy (useful to exit exact arithmetic fast paths)."""
-        rows = [[float(p) for p in row] for row in self._rows]
+        rows = [[float(p) for p in row] for row in self.rows]
         return PagingInstance(rows, self._max_rounds, allow_zero=True)
 
     # ------------------------------------------------------------------
@@ -268,7 +337,7 @@ class PagingInstance:
         """
         cells = np.arange(self._num_cells)
         out = []
-        for row in self._rows:
+        for row in self.rows:
             weights = np.array([float(p) for p in row])
             weights = weights / weights.sum()
             out.append(int(rng.choice(cells, p=weights)))
@@ -324,8 +393,8 @@ class PagingInstance:
         if not isinstance(other, PagingInstance):
             return NotImplemented
         return (
-            self._rows == other._rows and self._max_rounds == other._max_rounds
+            self.rows == other.rows and self._max_rounds == other._max_rounds
         )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._max_rounds))
+        return hash((self.rows, self._max_rounds))

@@ -1,5 +1,7 @@
 """Unit tests for the paging engine."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,11 @@ from repro.cellnet import (
     build_sub_instance,
     execute_search,
 )
+from repro.cellnet.paging import _global_groups
+from repro.core import PagingInstance
+from repro.core.backends import available_backends
 from repro.errors import SimulationError
+from repro.solvers import get_solver
 
 
 def uniform_priors(num_devices, num_cells):
@@ -190,6 +196,78 @@ class TestSynchronousModes:
         assert resilient.rounds_used == rounds
         assert resilient.failed_devices == outside
         assert resilient.cells_paged == len(candidates)
+
+
+def _scalar_sub_rows(priors, cells, floor=1e-12):
+    """The per-cell formula ``build_sub_instance`` must reproduce bit for bit."""
+    rows = []
+    for prior in priors:
+        restricted = np.array([max(float(prior[cell]), floor) for cell in cells])
+        rows.append(restricted / restricted.sum())
+    return np.array(rows)
+
+
+def _random_admission(rng):
+    """Seeded priors (some strided views) and an unsorted candidate set.
+
+    About a fifth of the prior entries are zero, so candidate cells with
+    zero mass, and now and then a device with no mass on any candidate,
+    come up often.
+    """
+    num_cells = int(rng.integers(2, 40))
+    devices = int(rng.integers(1, 6))
+    priors = []
+    for _ in range(devices):
+        prior = rng.dirichlet(np.ones(num_cells) * rng.uniform(0.2, 2.0))
+        prior[rng.random(num_cells) < 0.2] = 0.0
+        if rng.random() < 0.5:  # a non-contiguous view of the same values
+            padded = np.zeros(2 * num_cells)
+            padded[::2] = prior
+            prior = padded[::2]
+        priors.append(prior)
+    size = int(rng.integers(1, num_cells + 1))
+    cells = [int(cell) for cell in rng.choice(num_cells, size, replace=False)]
+    return priors, cells
+
+
+class TestArrayAdmission:
+    """The array-native sub-instance and plan step equal the scalar ones."""
+
+    def test_sub_instance_rows_match_scalar_formula(self):
+        rng = np.random.default_rng(1405)
+        for _ in range(500):
+            priors, cells = _random_admission(rng)
+            instance, mapped = build_sub_instance(priors, cells, max_rounds=3)
+            assert mapped == tuple(cells)
+            expected = _scalar_sub_rows(priors, cells)
+            assert instance.float_rows().tobytes() == expected.tobytes()
+            assert instance.rows == tuple(tuple(row) for row in expected)
+
+    def test_sub_instance_of_a_zero_mass_device_is_uniform(self):
+        priors = [np.array([1.0, 0.0, 0.0, 0.0])]
+        instance, _cells = build_sub_instance(priors, [3, 1, 2], max_rounds=2)
+        assert instance.rows == ((1 / 3, 1 / 3, 1 / 3),)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_heuristic_plan_matches_registry_strategy(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANNER_BACKEND", backend)
+        rng = np.random.default_rng(2602)
+        planner = get_solver("heuristic")
+        for _ in range(300):
+            priors, cells = _random_admission(rng)
+            d = int(rng.integers(1, 5))
+            instance, cells = build_sub_instance(priors, cells, max_rounds=d)
+            expected = _global_groups(planner(instance).strategy, cells)
+            assert HeuristicPager().plan(instance, cells) == expected
+            assert AdaptivePager().plan(instance, cells) == expected
+
+    def test_exact_instance_plans_through_the_reference(self):
+        instance = PagingInstance(
+            [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]], 2
+        )
+        cells = (40, 10, 30, 20)
+        expected = _global_groups(get_solver("heuristic")(instance).strategy, cells)
+        assert HeuristicPager().plan(instance, cells) == expected
 
 
 class TestCostAwarePager:

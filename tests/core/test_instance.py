@@ -61,6 +61,78 @@ class TestValidation:
             )
 
 
+class TestFiniteEntries:
+    """NaN and infinite entries are rejected on both construction paths."""
+
+    def test_tuple_path_rejects_nan(self):
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            PagingInstance([[float("nan"), 0.5]], 1, allow_zero=True)
+
+    def test_array_path_rejects_nan(self):
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            PagingInstance(np.array([[np.nan, 0.5]]), 1, allow_zero=True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_both_paths_reject_infinities(self, bad):
+        with pytest.raises(InvalidInstanceError):
+            PagingInstance([[bad, 0.5]], 1, allow_zero=True)
+        with pytest.raises(InvalidInstanceError):
+            PagingInstance(np.array([[bad, 0.5]]), 1, allow_zero=True)
+
+
+class TestArrayPath:
+    """A 2-D float64 array validates like its rows and keeps the matrix."""
+
+    #: (rows, max_rounds, allow_zero) triples each path must reject
+    INVALID = [
+        ([[0.5, 0.4]], 1, False),  # row sum
+        ([[0.5, 0.5], [0.25, 0.5]], 1, False),  # second row's sum
+        ([[0.0, 1.0]], 1, False),  # zero without allow_zero
+        ([[-0.25, 1.25]], 1, True),  # negative
+        ([[0.5, 0.5]], 0, False),  # d < 1
+        ([[0.5, 0.5]], 3, False),  # d > c
+        ([[0.5, np.nan, 0.5]], 1, True),  # NaN
+    ]
+
+    @pytest.mark.parametrize("rows, rounds, allow_zero", INVALID)
+    def test_rejects_what_the_tuple_path_rejects(self, rows, rounds, allow_zero):
+        with pytest.raises(InvalidInstanceError) as tuple_error:
+            PagingInstance(rows, rounds, allow_zero=allow_zero)
+        with pytest.raises(InvalidInstanceError) as array_error:
+            PagingInstance(np.array(rows), rounds, allow_zero=allow_zero)
+        assert str(array_error.value) == str(tuple_error.value)
+
+    def test_rejects_empty_shapes(self):
+        for shape in [(0, 3), (2, 0)]:
+            with pytest.raises(InvalidInstanceError):
+                PagingInstance(np.empty(shape), 1)
+
+    def test_matches_tuple_instance(self):
+        rng = np.random.default_rng(3)
+        matrix = rng.dirichlet(np.ones(6), size=3)
+        from_array = PagingInstance(matrix, 2)
+        from_rows = PagingInstance(matrix.tolist(), 2)
+        assert from_array == from_rows
+        assert hash(from_array) == hash(from_rows)
+        assert not from_array.is_exact
+        assert from_array.rows == from_rows.rows
+        assert np.array_equal(from_array.float_rows(), from_rows.float_rows())
+
+    def test_shares_read_only_matrix_and_copies_writable_one(self):
+        matrix = np.full((2, 4), 0.25)
+        writable = PagingInstance(matrix, 2)
+        assert writable.float_rows() is not matrix
+        matrix[0, 0] = 0.0  # the instance kept its own copy
+        assert writable.probability(0, 0) == 0.25
+        frozen = np.full((2, 4), 0.25)
+        frozen.setflags(write=False)
+        assert PagingInstance(frozen, 2).float_rows() is frozen
+
+    def test_rows_hold_float64_scalars(self):
+        instance = PagingInstance(np.full((1, 4), 0.25), 2)
+        assert all(type(p) is np.float64 for p in instance.row(0))
+
+
 class TestAccessors:
     def test_dimensions(self, exact_instance):
         assert exact_instance.num_devices == 2
