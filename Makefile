@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test docs-test lint lint-deep bench bench-json bench-diff faults-smoke solvers-smoke report save-report examples all clean
+.PHONY: install test docs-test lint lint-deep bench faults-smoke solvers-smoke report save-report examples all clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -26,14 +26,6 @@ lint-deep:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-json:
-	$(PYTHON) -m repro.bench --profile full
-
-# Compare the two newest BENCH_<n>.json snapshots; exits non-zero on a
-# >20% regression, so CI runs it as a non-fatal report step.
-bench-diff:
-	$(PYTHON) scripts/bench_diff.py $$(ls BENCH_*.json | sort -V | tail -2 | head -1)
 
 # Tiny fault-matrix scenario: zero-fault bypass, reproducibility under
 # faults, and the delay-budget cap (docs/robustness.md); CI runs this.

@@ -16,8 +16,6 @@ The commands cover the library's workflows:
   sizes and report whether the optimum hits the lower bound.
 * ``repro lint`` — domain-aware static analysis (exact-arithmetic,
   reproducibility, and paper-traceability rules; see docs/linting.md).
-* ``repro bench`` — time the batched/parallel kernels on pinned seeds and
-  record a ``BENCH_<n>.json`` trajectory snapshot (see docs/performance.md).
 * ``repro serve-bench`` — drive a synthetic closed-loop workload through
   the ``repro.service`` paging controller and report throughput, cache
   hit rates, and batching behavior (see docs/service.md).
@@ -55,7 +53,6 @@ COMMAND_SUMMARY: "dict[str, str]" = {
     "gadget": "run the Lemma 3.2 NP-hardness reduction",
     "render": "ASCII map of a network's areas or a plan",
     "lint": "domain-aware static analysis (RPL001-RPL010, --deep dataflow)",
-    "bench": "record or diff BENCH_<n>.json performance snapshots",
     "serve-bench": "closed-loop throughput benchmark of the paging service",
     "timevary": "run the joint paging/registration (HMY) iteration",
     "contention": "sweep blocking vs offered load on shared paging channels",
@@ -288,13 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint", help="run the domain-aware static-analysis rules (RPL001-RPL007)"
     )
     add_lint_arguments(lint)
-
-    from .bench import add_bench_arguments
-
-    bench = commands.add_parser(
-        "bench", help="record a BENCH_<n>.json performance-trajectory snapshot"
-    )
-    add_bench_arguments(bench)
 
     serve_bench = commands.add_parser(
         "serve-bench",
@@ -767,12 +757,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from .bench import run_from_args
-
-    return run_from_args(args)
-
-
 def _command_serve_bench(args: argparse.Namespace) -> int:
     from .service import ServiceConfig, WorkloadConfig, serve_bench
 
@@ -931,7 +915,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "gadget": _command_gadget,
         "render": _command_render,
         "lint": _command_lint,
-        "bench": _command_bench,
         "serve-bench": _command_serve_bench,
         "timevary": _command_timevary,
         "contention": _command_contention,

@@ -23,8 +23,8 @@ A :class:`Tracer` wraps a sink (:mod:`repro.obs.sinks`).  The *active*
 tracer is thread-local; instrumented code asks :func:`current_tracer` and
 checks ``tracer.enabled`` before building any event, so the default
 :class:`~repro.obs.sinks.NullSink` configuration costs one attribute lookup
-per instrumentation site (measured ≤ 5% on the ``repro bench`` scenarios,
-see docs/performance.md).
+per instrumentation site (measured ≤ 5% with the retired snapshot harness
+behind ``BENCH_0.json``, see docs/performance.md).
 """
 
 from __future__ import annotations

@@ -102,7 +102,8 @@ class PlanRequest:
     ``matrix`` is the ``(devices, cells)`` float64 conditional location
     profile; rows must already be probability distributions — the
     controller does *not* renormalize (that would silently change the
-    floats behind the bit-identity guarantee).  ``area`` is any hashable
+    floats behind the bit-identity guarantee); a row with a negative or
+    non-finite entry gets a ``"failed"`` ticket.  ``area`` is any hashable
     id; it selects the shard, nothing else.
     """
 
@@ -345,27 +346,51 @@ class PagingController:
         self._planned_total += size
         observe("service.batch_size", size)
         (_shape, rounds, cap) = group_key
+        stack = np.ascontiguousarray(
+            np.stack([entry.matrix for entry in entries]), dtype=np.float64
+        )
+        # The kernels' numpy = compiled contract covers finite, non-negative
+        # rows only; anything else fails here, on every backend alike.
+        valid = (stack >= 0.0) & (stack < np.inf)
+        if not valid.all():
+            keep = valid.reshape(size, -1).all(axis=1)
+            for index in np.flatnonzero(~keep):
+                (row, cell) = np.argwhere(~valid[index])[0]
+                self._fail_entry(
+                    entries[index],
+                    f"profile entry [{row}, {cell}] = "
+                    f"{float(stack[index, row, cell])!r} is not a finite "
+                    "non-negative probability",
+                )
+            entries = [entry for entry, ok in zip(entries, keep) if ok]
+            stack = stack[keep]
+            if not entries:
+                return
         with span(
             "service.batch_flush",
             shard=shard.index,
             size=size,
             rounds=rounds,
         ):
-            if self._solver.supports_batch:
-                self._flush_batched(shard, entries, int(rounds), cap)
-            else:
-                self._flush_scalar(shard, entries, cap)
+            try:
+                if self._solver.supports_batch:
+                    self._flush_batched(shard, entries, stack, int(rounds), cap)
+                else:
+                    self._flush_scalar(shard, entries, cap)
+            except Exception as error:  # a ticket must never be left pending
+                reason = f"{type(error).__name__}: {error}"
+                for entry in entries:
+                    if not entry.tickets[0].done:
+                        self._fail_entry(entry, reason)
 
     def _flush_batched(
         self,
         shard: _Shard,
         entries: List[_QueueEntry],
+        stack: np.ndarray,
         rounds: int,
         cap: Optional[int],
     ) -> None:
-        stack = np.ascontiguousarray(
-            np.stack([entry.matrix for entry in entries]), dtype=np.float64
-        )
         options: Dict[str, object] = {"max_rounds": rounds}
         if cap is not None:
             options["max_group_size"] = cap

@@ -4,7 +4,7 @@ Every solver family of the paper — the Fig. 1 / Theorem 4.8 heuristic, the
 Lemma 4.7 cut DP, the subset-DP exact solver of §2, and the §5 extensions
 (adaptive, Yellow Pages, Signature, bandwidth caps, weighted costs,
 clustered) — registers here under a stable name with a ``kind``, capability
-flags, and a paper anchor.  Dispatch sites (experiments, CLI, bench,
+flags, and a paper anchor.  Dispatch sites (experiments, CLI, service,
 cellnet) look solvers up by name instead of importing concrete functions,
 so adding a backend or policy is a one-file change.
 

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import expected_paging_float
+from repro.core import available_backends, expected_paging_float
 from repro.obs import MemorySink, Tracer, use_tracer
 from repro.service import (
     PagingController,
@@ -165,6 +165,78 @@ class TestBackpressure:
         assert blocker.status == "pending"
         # the queue is full, but a hit never enters it
         assert controller.submit(request).status == "ok"
+
+
+#: Every flush path: the batched heuristic on each backend, and the
+#: scalar per-profile loop of a solver without a batch entry point.
+FLUSH_PATHS = [("heuristic", name) for name in available_backends()] + [
+    ("exact", "auto")
+]
+
+
+class TestFailedFlushes:
+    """A flush fails bad tickets with a reason and never raises."""
+
+    @pytest.mark.parametrize("solver,backend", FLUSH_PATHS)
+    @pytest.mark.parametrize("trigger", ["submit", "poll", "flush"])
+    def test_infeasible_group_fails_every_ticket(self, solver, backend, trigger):
+        now = [0.0]
+        controller = PagingController(
+            ServiceConfig(
+                solver=solver, backend=backend, batch_window=2, batch_timeout_s=1.0
+            ),
+            clock=lambda: now[0],
+        )
+        # 6 cells, 3 rounds, at most 1 cell a round: the group has no plan
+        first = controller.submit(PlanRequest("la-1", _profile(0, 2, 6), 3, 1))
+        if trigger == "submit":
+            second = controller.submit(PlanRequest("la-1", _profile(1, 2, 6), 3, 1))
+            tickets = [first, second]
+        elif trigger == "poll":
+            now[0] = 2.0
+            tickets = [first]
+            assert controller.poll() == 1
+        else:
+            tickets = [first]
+            assert controller.flush() == 1
+        assert [ticket.status for ticket in tickets] == ["failed"] * len(tickets)
+        assert all(ticket.reason for ticket in tickets)
+        assert controller.pending == 0
+        assert controller.stats()["pending"] == 0
+        # a failure is not cached: the same request queues afresh
+        assert controller.submit(first.request).status == "pending"
+
+    @pytest.mark.parametrize("solver,backend", FLUSH_PATHS)
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
+    def test_bad_entry_fails_its_row_and_the_rest_still_plan(
+        self, solver, backend, bad
+    ):
+        controller = PagingController(
+            ServiceConfig(
+                solver=solver, backend=backend, batch_window=8, batch_timeout_s=60.0
+            )
+        )
+        matrix = _profile(3, 2, 6)
+        matrix[1, 4] = bad
+        requests = [
+            PlanRequest("la-1", matrix, 3),
+            PlanRequest("la-1", _profile(4, 2, 6), 3),
+        ]
+        tickets = [controller.submit(request) for request in requests]
+        assert controller.flush() == 1
+        assert controller.pending == 0
+        assert tickets[0].status == "failed"
+        assert f"[1, 4] = {bad!r}" in tickets[0].reason
+        assert tickets[1].status == "ok"
+        options = {"backend": backend} if solver == "heuristic" else {}
+        fresh = solve_instance(
+            solver, request_instance(requests[1]), max_rounds=3, **options
+        )
+        plan = tickets[1].plan
+        assert float(plan.expected_paging).hex() == float(fresh.expected_paging).hex()
+        assert plan.strategy().groups == fresh.strategy.groups
+        if plan.order is not None:
+            assert plan.order == tuple(fresh.extras["order"])
 
 
 class TestBitIdentity:
