@@ -36,6 +36,7 @@ from .mobility import (
     RandomWaypoint,
     generate_trace,
     stationary_distribution,
+    step_random_walks,
 )
 from .planning import (
     AreaSweepPoint,
@@ -138,6 +139,7 @@ __all__ = [
     "plan_pending_call",
     "RandomWalk",
     "RandomWaypoint",
+    "step_random_walks",
     "RecoveryPolicy",
     "RegistryRecord",
     "ReportingPolicy",

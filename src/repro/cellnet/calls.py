@@ -92,11 +92,17 @@ class PoissonConferenceCalls:
         self._num_devices = num_devices
         self._sizes = np.arange(2, max_size + 1)
         self._size_probabilities = weights / weights.sum()
+        # The CDF exactly as ``Generator.choice(sizes, p=...)`` builds it, so
+        # one ``random()`` through it replays that call draw for draw.
+        self._size_cdf = np.cumsum(self._size_probabilities)
+        self._size_cdf /= self._size_cdf[-1]
 
     def _draw_request(
         self, time: int, rng: np.random.Generator
     ) -> ConferenceCallRequest:
-        size = int(rng.choice(self._sizes, p=self._size_probabilities))
+        size = int(
+            self._sizes[self._size_cdf.searchsorted(rng.random(), side="right")]
+        )
         participants = tuple(
             int(device)
             for device in sorted(rng.choice(self._num_devices, size=size, replace=False))

@@ -4,7 +4,9 @@ Three classical models, all exposing the same one-step interface so the
 simulator and the trace-based distribution estimator can swap them freely:
 
 * :class:`RandomWalk` — stay put with some probability, otherwise hop to a
-  uniformly random neighboring cell.
+  uniformly random neighboring cell.  :func:`step_random_walks` steps many
+  of them at once from one block of raw PCG64 draws, with the same result
+  and the same generator state as stepping them one by one.
 * :class:`RandomWaypoint` — pick a random destination cell, walk a shortest
   path toward it (optionally pausing), then pick a new destination.
 * :class:`GravityMobility` — neighbor choice biased by per-cell attraction
@@ -31,13 +33,26 @@ class MobilityModel(Protocol):
 
 
 class RandomWalk:
-    """Stay with probability ``stay_probability``, else hop to a neighbor."""
+    """Stay with probability ``stay_probability``, else hop to a neighbor.
+
+    One step draws ``rng.random()`` and, when the device moves to one of
+    ``k >= 2`` neighbors, ``rng.integers(k)``.  The simulator steps a
+    population of exact ``RandomWalk`` instances through
+    :func:`step_random_walks`, which reproduces those draws without calling
+    :meth:`step`; a subclass that overrides :meth:`step` is stepped one
+    device at a time.
+    """
 
     def __init__(self, topology: CellTopology, *, stay_probability: float = 0.4) -> None:
         if not 0 <= stay_probability < 1:
             raise SimulationError("stay_probability must lie in [0, 1)")
         self._topology = topology
+        self._neighbors = topology.neighbor_table
         self._stay = stay_probability
+
+    @property
+    def topology(self) -> CellTopology:
+        return self._topology
 
     @property
     def stay_probability(self) -> float:
@@ -47,10 +62,95 @@ class RandomWalk:
     def step(self, cell: int, rng: np.random.Generator) -> int:
         if rng.random() < self._stay:
             return cell
-        neighbors = self._topology.neighbors(cell)
+        neighbors = self._neighbors[cell]
         if not neighbors:
             return cell
         return int(neighbors[rng.integers(len(neighbors))])
+
+
+#: ``Generator.random()`` is ``(raw >> 11) * _DOUBLE_UNIT`` of one raw draw.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+_MASK32 = 0xFFFFFFFF
+_TWO32 = 0x100000000
+
+
+def step_random_walks(
+    bit_generator: np.random.PCG64,
+    cells: Sequence[int],
+    stay: Sequence[float],
+    neighbors: Sequence[Sequence[int]],
+) -> List[int]:
+    """One :class:`RandomWalk` step of every device, from one block of draws.
+
+    Device ``i`` is in ``cells[i]`` and stays with probability ``stay[i]``;
+    ``neighbors`` is the topology's :attr:`~CellTopology.neighbor_table`.
+    The result equals ``[walk.step(cell, rng) for ...]`` in device order on
+    ``rng = np.random.Generator(bit_generator)``, draw for draw, and the
+    generator is left in exactly the state that loop leaves it in.
+
+    The scan emulates the two ``Generator`` calls on PCG64:
+
+    * ``random()`` takes one raw 64-bit draw ``r`` and returns
+      ``(r >> 11) * 2**-53``.  It does not touch the 32-bit buffer.
+    * ``integers(k)`` for ``k >= 2`` takes one 32-bit half: the buffered
+      half if the state holds one (``has_uint32``/``uinteger``), else the
+      low half of a fresh raw draw, buffering the high half.  Lemire's
+      method maps it to ``(half * k) >> 32`` and rejects it, drawing another
+      half, while ``(half * k) mod 2**32 < (2**32 - k) % k``.
+      ``integers(1)`` draws nothing.
+
+    Every other bit generator splits its draws differently, so callers must
+    pass an exact ``np.random.PCG64``.
+    """
+    if len(cells) == 0:
+        return []
+    state = bit_generator.state
+    has_half = state["has_uint32"]
+    half = state["uinteger"]
+    # A device takes at most two raw draws unless Lemire rejects a half;
+    # each rejection extends the block by one draw, so it never runs out.
+    block = bit_generator.random_raw(2 * len(cells) + 2).tolist()
+    used = 0
+    out: List[int] = []
+    append = out.append
+    for cell, probability in zip(cells, stay):
+        raw = block[used]
+        used += 1
+        if (raw >> 11) * _DOUBLE_UNIT < probability:
+            append(cell)
+            continue
+        options = neighbors[cell]
+        k = len(options)
+        if k < 2:
+            append(options[0] if k else cell)
+            continue
+        while True:
+            if has_half:
+                has_half = 0
+                draw = half
+            else:
+                raw = block[used]
+                used += 1
+                draw = raw & _MASK32
+                half = raw >> 32
+                has_half = 1
+            product = draw * k
+            low = product & _MASK32
+            if low >= k or low >= (_TWO32 - k) % k:
+                break
+            block.extend(bit_generator.random_raw(1).tolist())
+        append(options[product >> 32])
+    # Rewind to the draws actually used.  advance() clears the 32-bit
+    # buffer, which the scan may have filled (or left stale, as the
+    # generator itself does), so both fields are written back.
+    bit_generator.state = state
+    bit_generator.advance(used)
+    if has_half or half:
+        state = bit_generator.state
+        state["has_uint32"] = has_half
+        state["uinteger"] = half
+        bit_generator.state = state
+    return out
 
 
 class RandomWaypoint:

@@ -29,10 +29,23 @@ concurrent calls compete for ``channel_capacity * carriers`` page slots
 per cell per round through a :class:`~repro.cellnet.engine.ChannelScheduler`,
 and the report grows blocking probability, setup-latency percentiles, and
 a channel-occupancy histogram (docs/contention.md).
+
+Movement is drawn in one block per step when that provably replays the
+per-device loop: every device walks an exact
+:class:`~repro.cellnet.mobility.RandomWalk` on this topology, the stream is
+``np.random.PCG64``, and no update-loss fault draws between device steps.
+:func:`~repro.cellnet.mobility.step_random_walks` then emulates the
+``RandomWalk.step`` calls from raw PCG64 draws and leaves the generator
+where they would have left it, so results and digests do not depend on
+which path ran.  Every other population (waypoint, gravity, mixed lists,
+subclasses, other bit generators) is stepped one device at a time.  The
+choice is made once, at construction, from those inputs alone
+(docs/performance.md, "Batched movement").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +72,7 @@ from .engine import (
 from .faults import DEFAULT_RECOVERY, FaultInjector, FaultModel, RecoveryPolicy, ResilientPager
 from .location_areas import LocationAreaPlan
 from .metrics import CallRecord, LinkUsageMetrics
-from .mobility import MobilityModel
+from .mobility import MobilityModel, RandomWalk, step_random_walks
 from .paging import PAGER_FACTORIES, PagingOutcome
 from .timevary import BeliefPropagator, transition_matrix
 from .reporting import (
@@ -140,6 +153,8 @@ class SimulationConfig:
             raise SimulationError(f"unknown prior mode {self.prior_mode!r}")
         if self.transition_samples < 1:
             raise SimulationError("transition_samples must be positive")
+        if not math.isfinite(self.prior_smoothing) or self.prior_smoothing < 0:
+            raise SimulationError("prior_smoothing must be finite and non-negative")
         if self.faults is not None and not isinstance(self.faults, FaultModel):
             raise SimulationError("faults must be a cellnet.faults.FaultModel")
         if self.recovery is not None and not isinstance(self.recovery, RecoveryPolicy):
@@ -165,6 +180,33 @@ class SimulationConfig:
     def contention_active(self) -> bool:
         """True when calls share finite per-cell paging channels."""
         return self.channel_capacity is not None
+
+
+def _batched_walk_stays(
+    models: Sequence[MobilityModel],
+    topology: CellTopology,
+    rng: np.random.Generator,
+    faults: Optional[FaultModel],
+) -> Optional[List[float]]:
+    """Per-device stay probabilities if movement may take the batch, else None.
+
+    :func:`~repro.cellnet.mobility.step_random_walks` replays the scalar
+    loop draw for draw only when the stream is PCG64 (the only bit
+    generator it emulates), every model is an exact :class:`RandomWalk`
+    (a subclass may override ``step``) walking this topology, and nothing
+    draws between two device steps, as lost location updates do
+    (``FaultInjector.update_delivered``).
+    """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        return None
+    if faults is not None and faults.update_loss > 0.0:
+        return None
+    if not all(
+        type(model) is RandomWalk and model.topology is topology
+        for model in models
+    ):
+        return None
+    return [model.stay_probability for model in models]
 
 
 @dataclass
@@ -287,6 +329,14 @@ class CellularSimulator:
             self._propagators = [None] * len(mobility_models)
 
         c = topology.num_cells
+        # One (devices, cells) array; each DeviceState holds a row view.
+        self._visit_counts = np.full(
+            (len(mobility_models), c), config.prior_smoothing, dtype=float
+        )
+        self._device_rows = np.arange(len(mobility_models))
+        self._walk_stays = _batched_walk_stays(
+            mobility_models, topology, rng, config.faults
+        )
         self._devices: List[DeviceState] = []
         for index, model in enumerate(mobility_models):
             if initial_cells is not None:
@@ -297,7 +347,7 @@ class CellularSimulator:
                 cell=cell,
                 model=model,
                 last_reported_cell=cell,
-                visit_counts=np.full(c, config.prior_smoothing, dtype=float),
+                visit_counts=self._visit_counts[index],
             )
             state.visit_counts[cell] += 1.0
             self._devices.append(state)
@@ -374,14 +424,27 @@ class CellularSimulator:
 
     # ------------------------------------------------------------------
     def _step_movement(self, time: int) -> None:
-        for index, state in enumerate(self._devices):
-            new_cell = state.model.step(state.cell, self._rng)
-            moved = new_cell != state.cell
+        devices = self._devices
+        rng = self._rng
+        moves: Optional[List[int]] = None
+        if self._walk_stays is not None:
+            moves = step_random_walks(
+                rng.bit_generator,
+                [state.cell for state in devices],
+                self._walk_stays,
+                self._topology.neighbor_table,
+            )
+        new_cells: List[int] = []
+        for index, state in enumerate(devices):
             old_cell = state.cell
+            if moves is None:
+                new_cell = state.model.step(old_cell, rng)
+            else:
+                new_cell = moves[index]
+            new_cells.append(new_cell)
             state.cell = new_cell
             state.steps_since_report += 1
-            state.visit_counts[new_cell] += 1.0
-            if moved:
+            if new_cell != old_cell:
                 if time < state.busy_until:
                     # Mid-call handover: the base stations track the device,
                     # so the system's fix stays exact (paper Section 1.1).
@@ -391,12 +454,12 @@ class CellularSimulator:
                 else:
                     self._registry.invalidate_confirmation(index)
             move = MoveContext(
-                device=index,
-                old_cell=old_cell,
-                new_cell=new_cell,
-                time=time,
-                last_reported_cell=state.last_reported_cell,
-                steps_since_report=state.steps_since_report,
+                index,
+                old_cell,
+                new_cell,
+                time,
+                state.last_reported_cell,
+                state.steps_since_report,
             )
             if self._policy.should_report(move):
                 # The device always pays the uplink message and believes it
@@ -409,6 +472,7 @@ class CellularSimulator:
                     self._registry.report(
                         index, self._plan.area_of(new_cell), new_cell, time
                     )
+        self._visit_counts[self._device_rows, new_cells] += 1.0
 
     def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
         participants = request.participants

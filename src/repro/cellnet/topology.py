@@ -36,6 +36,12 @@ class CellTopology:
             raise SimulationError("topology must be connected")
         self._graph = graph
         self._positions = dict(positions) if positions else {}
+        # Built once: the graph is not edited after it is wrapped, and the
+        # mobility models read this table on every device step.
+        self._neighbor_table: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(sorted(graph.neighbors(cell)))
+            for cell in range(graph.number_of_nodes())
+        )
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
 
     # ------------------------------------------------------------------
@@ -49,7 +55,12 @@ class CellTopology:
 
     def neighbors(self, cell: int) -> Tuple[int, ...]:
         """Adjacent cells, sorted for determinism."""
-        return tuple(sorted(self._graph.neighbors(cell)))
+        return self._neighbor_table[cell]
+
+    @property
+    def neighbor_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """``neighbor_table[cell] == neighbors(cell)`` for every cell."""
+        return self._neighbor_table
 
     def position(self, cell: int) -> Tuple[float, float]:
         """Planar position of the cell center (for distance-flavored models)."""

@@ -33,6 +33,27 @@ class TestArrivals:
         sizes = {process.maybe_arrival(t, rng).size for t in range(50)}
         assert sizes == {2}
 
+    @pytest.mark.parametrize(
+        "size_weights", [None, (0.2, 0.0, 0.5, 0.3), (0.0, 1.0, 2.0)]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_size_draw_replays_generator_choice(self, size_weights, seed):
+        """The CDF draw equals ``rng.choice(sizes, p=...)`` draw for draw."""
+        process = PoissonConferenceCalls(1.0, 8, size_weights=size_weights)
+        weights = np.asarray(
+            (0.5, 0.3, 0.15, 0.05) if size_weights is None else size_weights
+        )
+        sizes = np.arange(2, len(weights) + 2)
+        ours = np.random.default_rng(seed)
+        numpy_choice = np.random.default_rng(seed)
+        for time in range(300):
+            request = process.maybe_arrival(time, ours)
+            assert numpy_choice.random() < 1.0
+            size = int(numpy_choice.choice(sizes, p=weights / weights.sum()))
+            participants = numpy_choice.choice(8, size=size, replace=False)
+            assert request.participants == tuple(sorted(int(d) for d in participants))
+        assert ours.bit_generator.state == numpy_choice.bit_generator.state
+
     def test_size_capped_by_device_pool(self, rng):
         process = PoissonConferenceCalls(1.0, 3, size_weights=(1, 1, 1, 1))
         sizes = {process.maybe_arrival(t, rng).size for t in range(100)}

@@ -10,6 +10,7 @@ from repro.cellnet import (
     RandomWaypoint,
     generate_trace,
     stationary_distribution,
+    step_random_walks,
 )
 from repro.errors import SimulationError
 
@@ -36,6 +37,128 @@ class TestRandomWalk:
     def test_rejects_bad_probability(self, topology):
         with pytest.raises(SimulationError):
             RandomWalk(topology, stay_probability=1.0)
+
+
+def _with_buffer(seed, has_uint32, uinteger):
+    """A seeded PCG64 generator whose 32-bit buffer is set by hand."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = rng.bit_generator.state
+    state["has_uint32"] = has_uint32
+    state["uinteger"] = uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+def _cell_of_degree(topology, degree):
+    return next(
+        cell
+        for cell in range(topology.num_cells)
+        if len(topology.neighbors(cell)) == degree
+    )
+
+
+def _scalar_and_batch(topology, stay, cells, steps, scalar, batch):
+    """Step both ways; assert equal cells and generator state every step."""
+    model = RandomWalk(topology, stay_probability=stay)
+    table = topology.neighbor_table
+    stays = [stay] * len(cells)
+    expected = list(cells)
+    actual = list(cells)
+    for _ in range(steps):
+        expected = [model.step(cell, scalar) for cell in expected]
+        actual = step_random_walks(batch.bit_generator, actual, stays, table)
+        assert actual == expected
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+class TestStepRandomWalks:
+    """The batch replays ``RandomWalk.step`` on numpy's PCG64 stream.
+
+    If numpy ever changes how ``random()`` or ``integers(k)`` consume PCG64
+    draws, these tests fail here, by name, before any simulator digest.
+    """
+
+    @pytest.mark.parametrize("stay", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("seed", [0, 7, 29, 2002])
+    def test_matches_scalar_steps_and_state(self, topology, seed, stay):
+        starts = np.random.default_rng(seed).integers(topology.num_cells, size=40)
+        _scalar_and_batch(
+            topology,
+            stay,
+            [int(cell) for cell in starts],
+            50,
+            np.random.default_rng(seed),
+            np.random.default_rng(seed),
+        )
+
+    @pytest.mark.parametrize(
+        "topology, degree",
+        [
+            (CellTopology.hexagonal_disk(2), 6),
+            (CellTopology.grid(3, 3), 4),
+            (CellTopology.grid(3, 3), 3),
+            (CellTopology.line(3), 1),
+            (CellTopology.line(1), 0),
+        ],
+        ids=["6-neighbors", "4-neighbors", "3-neighbors", "1-neighbor", "one-cell"],
+    )
+    def test_every_degree(self, topology, degree):
+        cell = _cell_of_degree(topology, degree)
+        for seed in (1, 2, 3):
+            _scalar_and_batch(
+                topology,
+                0.3,
+                [cell] * 25,
+                20,
+                np.random.default_rng(seed),
+                np.random.default_rng(seed),
+            )
+
+    @pytest.mark.parametrize("uinteger", [0x12345678, 0xFFFFFFFF])
+    def test_starts_with_full_buffer(self, topology, uinteger):
+        _scalar_and_batch(
+            topology,
+            0.3,
+            list(range(topology.num_cells)),
+            10,
+            _with_buffer(5, 1, uinteger),
+            _with_buffer(5, 1, uinteger),
+        )
+
+    def test_lemire_rejection(self, topology):
+        """A buffered half of 0 is rejected for k = 6 and drawn again."""
+        cell = _cell_of_degree(topology, 6)
+        scalar = _with_buffer(11, 1, 0)
+        rejected = scalar.bit_generator.state
+        scalar.integers(6)
+        after = scalar.bit_generator.state
+        # integers(6) used the buffered half and then a fresh raw draw
+        assert after["state"] != rejected["state"]
+        assert after["has_uint32"] == 1
+        _scalar_and_batch(
+            topology, 0.0, [cell] * 8, 5, _with_buffer(11, 1, 0), _with_buffer(11, 1, 0)
+        )
+
+    def test_no_devices_draws_nothing(self, topology, rng):
+        before = rng.bit_generator.state
+        assert step_random_walks(rng.bit_generator, [], [], topology.neighbor_table) == []
+        assert rng.bit_generator.state == before
+
+    def test_mixed_stay_probabilities(self, topology):
+        scalar = np.random.default_rng(3)
+        batch = np.random.default_rng(3)
+        models = [
+            RandomWalk(topology, stay_probability=stay) for stay in (0.0, 0.5, 0.9)
+        ] * 5
+        cells = [cell % topology.num_cells for cell in range(len(models))]
+        stays = [model.stay_probability for model in models]
+        for _ in range(30):
+            expected = [model.step(cell, scalar) for model, cell in zip(models, cells)]
+            cells = step_random_walks(
+                batch.bit_generator, cells, stays, topology.neighbor_table
+            )
+            assert cells == expected
+        assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 class TestRandomWaypoint:

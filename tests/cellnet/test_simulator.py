@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.cellnet.simulator as simulator_module
 from repro.cellnet import (
     CellTopology,
     CellularSimulator,
+    FaultModel,
     LocationAreaPlan,
     RandomWalk,
+    RandomWaypoint,
     SimulationConfig,
 )
 from repro.errors import SimulationError
@@ -41,6 +44,15 @@ class TestConfig:
     def test_rejects_bad_horizon(self):
         with pytest.raises(SimulationError):
             SimulationConfig(horizon=0)
+
+    @pytest.mark.parametrize("smoothing", [-0.5, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_prior_smoothing(self, smoothing):
+        with pytest.raises(SimulationError, match="prior_smoothing"):
+            SimulationConfig(prior_smoothing=smoothing)
+
+    def test_zero_prior_smoothing_is_valid(self):
+        report = build_simulator(prior_smoothing=0.0, horizon=50).run()
+        assert report.metrics.calls_handled > 0
 
 
 class TestRun:
@@ -360,3 +372,105 @@ class TestDeterminism:
         first = build_simulator(seed=11).run()
         second = build_simulator(seed=12).run()
         assert first.metrics != second.metrics
+
+
+class _Scalar(RandomWalk):
+    """Same walk; not an exact RandomWalk, so it is stepped one at a time."""
+
+
+def _run_walks(model_type, *, shared=False, bit_generator=np.random.PCG64, **overrides):
+    rng = np.random.Generator(bit_generator(31))
+    topology = CellTopology.hexagonal_disk(2)
+    plan = LocationAreaPlan.by_bfs(topology, 3)
+    if shared:
+        models = [model_type(topology, stay_probability=0.3)] * 6
+    else:
+        models = [
+            model_type(topology, stay_probability=stay)
+            for stay in (0.0, 0.3, 0.3, 0.5, 0.7, 0.9)
+        ]
+    config = SimulationConfig(
+        horizon=overrides.pop("horizon", 150),
+        call_rate=overrides.pop("call_rate", 0.3),
+        **overrides,
+    )
+    report = CellularSimulator(topology, plan, models, config, rng=rng).run()
+    return report.summary(), rng.random(8).tolist()
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Counts the steps that take the batched movement path."""
+    calls = []
+    step_random_walks = simulator_module.step_random_walks
+
+    def counting(*args):
+        calls.append(1)
+        return step_random_walks(*args)
+
+    monkeypatch.setattr(simulator_module, "step_random_walks", counting)
+    return calls
+
+
+class TestBatchedMovement:
+    """Batched and scalar movement produce the same run and stream."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"channel_capacity": 1, "call_rate": 0.8, "arrival_mode": "poisson"},
+            {"shared": True, "prior_mode": "conditional", "reporting": "distance"},
+        ],
+        ids=["legacy", "contended", "conditional-shared"],
+    )
+    def test_batch_equals_scalar_loop(self, batches, overrides):
+        batched = _run_walks(RandomWalk, **overrides)
+        assert len(batches) == 150
+        scalar = _run_walks(_Scalar, **overrides)
+        assert len(batches) == 150
+        assert batched == scalar
+
+    def test_update_loss_keeps_scalar_loop(self, batches):
+        faults = FaultModel(update_loss=0.2)
+        assert _run_walks(RandomWalk, faults=faults) == _run_walks(
+            _Scalar, faults=faults
+        )
+        assert batches == []
+
+    def test_other_fault_models_keep_the_batch(self, batches):
+        faults = FaultModel(page_loss=0.2)
+        assert _run_walks(RandomWalk, faults=faults) == _run_walks(
+            _Scalar, faults=faults
+        )
+        assert len(batches) == 150
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM])
+    def test_other_bit_generators_keep_scalar_loop(self, batches, bit_generator):
+        _run_walks(RandomWalk, bit_generator=bit_generator)
+        assert batches == []
+
+    def test_mixed_models_keep_scalar_loop(self, batches):
+        topology = CellTopology.hexagonal_disk(2)
+        models = [RandomWalk(topology), RandomWalk(topology)]
+        models += RandomWaypoint(topology).clone_for_devices(2)
+        CellularSimulator(
+            topology,
+            LocationAreaPlan.by_bfs(topology, 3),
+            models,
+            SimulationConfig(horizon=20),
+            rng=np.random.default_rng(0),
+        ).run()
+        assert batches == []
+
+    def test_walk_on_another_topology_keeps_scalar_loop(self, batches):
+        topology = CellTopology.hexagonal_disk(2)
+        models = [RandomWalk(CellTopology.hexagonal_disk(2)) for _ in range(3)]
+        CellularSimulator(
+            topology,
+            LocationAreaPlan.by_bfs(topology, 3),
+            models,
+            SimulationConfig(horizon=20),
+            rng=np.random.default_rng(0),
+        ).run()
+        assert batches == []
