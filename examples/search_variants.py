@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core import (
     adaptive_expected_paging,
-    bandwidth_limited_heuristic,
     conference_call_heuristic,
     signature_heuristic,
     yellow_pages_greedy,
@@ -40,7 +39,7 @@ def main() -> None:
     print(f"  adaptive replanning:         EP = {float(adaptive):6.3f}")
 
     for cap in (6, 4):
-        capped = bandwidth_limited_heuristic(instance, cap)
+        capped = conference_call_heuristic(instance, max_group_size=cap)
         print(f"  bandwidth cap b={cap}:          EP = "
               f"{float(capped.expected_paging):6.3f}  groups {capped.group_sizes}")
 

@@ -386,7 +386,5 @@ class CostAwarePager(Pager):
 PAGER_FACTORIES: Dict[str, Callable[[], Pager]] = {
     "blanket": BlanketPager,
     "heuristic": HeuristicPager,
-    # Former name of the same pager, kept so stored configurations resolve.
-    "heuristic-batch": HeuristicPager,
     "adaptive": AdaptivePager,
 }

@@ -47,12 +47,7 @@ from .batch_plan import (
     prefix_stop_probabilities_batch,
     stack_instances,
 )
-from .bandwidth import (
-    bandwidth_limited_heuristic,
-    bandwidth_limited_optimal,
-    is_feasible,
-    minimum_rounds,
-)
+from .bandwidth import is_feasible, minimum_rounds
 from .bounds import (
     alpha_sequence,
     approximation_factor,

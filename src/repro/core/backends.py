@@ -12,19 +12,17 @@ the Fig. 1 heuristic:
   (compiler, version, flags, machine), so rebuilds happen exactly when the
   kernel source or the machine code it would produce changes.
 
-Backend selection is a *capability*, not a hard requirement:
-``resolve_backend("auto")`` prefers the compiled kernel and silently falls
-back to numpy when no toolchain (or no cache directory) is available,
+The machine picks the backend, not the caller: the planner always asks
+``resolve_backend("auto")``, which prefers the compiled kernel and silently
+falls back to numpy when no toolchain (or no cache directory) is available,
 bumping the ``planner.backend_fallback`` obs counter so the degradation is
-observable.  Asking for ``backend="compiled"`` explicitly raises instead —
-an explicit request must not silently change semantics class.
+observable.  ``resolve_backend("compiled")`` raises instead of degrading,
+for a check that must know the kernel loads.
 
-Environment overrides (tested in ``tests/core/test_backends.py``):
+Environment (tested in ``tests/core/test_backends.py``):
 
-* ``REPRO_PLANNER_BACKEND`` — force ``numpy``/``compiled`` for every
-  ``backend="auto"`` resolution (explicit arguments still win);
 * ``REPRO_DISABLE_COMPILED=1`` — pretend no toolchain exists (the no-
-  compiler CI job uses this to prove graceful fallback);
+  compiler CI job, and the tests' numpy runs, use this);
 * ``REPRO_CACHE_DIR`` — where the compiled object is cached (default
   ``~/.cache/repro``).
 
@@ -58,7 +56,7 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: The recognized ``backend=`` values, in preference order for ``auto``.
+#: The backend names, in preference order for ``auto``.
 BACKENDS: Tuple[str, ...] = ("compiled", "numpy")
 
 _SOURCE = Path(__file__).with_name("_cut_dp.c")
@@ -73,7 +71,7 @@ _lib_error: Optional[str] = None
 
 
 class BackendUnavailableError(ReproError):
-    """An explicitly requested planner backend cannot be provided."""
+    """The compiled planner kernel cannot be provided on this machine."""
 
 
 def _cache_dir() -> Path:
@@ -218,17 +216,13 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """Map a ``backend=`` option to a concrete implementation name.
+    """Map a backend name to the implementation that will run.
 
-    ``"auto"`` (optionally overridden by ``REPRO_PLANNER_BACKEND``) prefers
-    the compiled kernel and falls back to numpy — silently, except for the
-    ``planner.backend_fallback`` obs counter.  An explicit ``"compiled"``
-    raises :class:`BackendUnavailableError` when the kernel cannot load.
+    ``"auto"`` prefers the compiled kernel and falls back to numpy —
+    silently, except for the ``planner.backend_fallback`` obs counter.  An
+    explicit ``"compiled"`` raises :class:`BackendUnavailableError` when the
+    kernel cannot load.
     """
-    if backend == "auto":
-        forced = os.environ.get("REPRO_PLANNER_BACKEND")
-        if forced:
-            backend = forced
     if backend == "auto":
         if compiled_available():
             return "compiled"

@@ -3,20 +3,17 @@
 Real systems bound how many base stations can page simultaneously.  The paper
 observes that its machinery survives the cap: Lemma 4.6 still yields an
 approximate strategy in the restricted family, and the Lemma 4.7 dynamic
-program simply restricts the range of the split variable ``x``.  This module
-packages that restricted search, plus feasibility arithmetic.
+program simply restricts the range of the split variable ``x``.  The capped
+planners are therefore the uncapped ones with ``max_group_size=b``: the
+``heuristic`` and ``exact`` registry entries.  This module holds the
+feasibility arithmetic of the cap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..errors import InfeasibleError
-from .dp import OrderedDPResult, optimize_over_order
-from .exact import ExactResult, optimal_strategy
-from .instance import PagingInstance
-from .ordering import by_expected_devices
 
 
 def minimum_rounds(num_cells: int, max_group_size: int) -> int:
@@ -33,44 +30,3 @@ def is_feasible(num_cells: int, num_rounds: int, max_group_size: int) -> bool:
         and 1 <= num_rounds <= num_cells
         and num_rounds * max_group_size >= num_cells
     )
-
-
-def bandwidth_limited_heuristic(
-    instance: PagingInstance,
-    max_group_size: int,
-    *,
-    max_rounds: Optional[int] = None,
-) -> OrderedDPResult:
-    """The Fig. 1 heuristic under a per-round paging cap.
-
-    replint: solver
-    """
-    d = instance.max_rounds if max_rounds is None else int(max_rounds)
-    if not is_feasible(instance.num_cells, d, max_group_size):
-        raise InfeasibleError(
-            f"no strategy pages {instance.num_cells} cells in {d} rounds of "
-            f"at most {max_group_size}"
-        )
-    order = by_expected_devices(instance)
-    return optimize_over_order(
-        instance, order, max_rounds=d, max_group_size=max_group_size
-    )
-
-
-def bandwidth_limited_optimal(
-    instance: PagingInstance,
-    max_group_size: int,
-    *,
-    max_rounds: Optional[int] = None,
-) -> ExactResult:
-    """Exact optimum under the cap (small instances only).
-
-    replint: solver
-    """
-    d = instance.max_rounds if max_rounds is None else int(max_rounds)
-    if not is_feasible(instance.num_cells, d, max_group_size):
-        raise InfeasibleError(
-            f"no strategy pages {instance.num_cells} cells in {d} rounds of "
-            f"at most {max_group_size}"
-        )
-    return optimal_strategy(instance, max_rounds=d, max_group_size=max_group_size)

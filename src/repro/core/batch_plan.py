@@ -21,6 +21,8 @@ Two interchangeable backends execute the cut DP (see
 :mod:`repro.core.backends`): the pure-numpy ``(batch, prev, j)`` broadcast
 recurrence, which is the bit-exact reference, and an optional C kernel
 compiled on demand that runs the same IEEE operations in the same order.
+The machine picks one per call (the kernel when it loads, else numpy); no
+caller chooses.
 Exact (``Fraction``) arithmetic stays with the reference planner
 :func:`repro.core.heuristic.conference_call_heuristic`; how the float plans
 relate to it (same order, value to round-off, group sizes up to ties)
@@ -241,13 +243,35 @@ def _cut_dp_compiled(
     return sizes, values, feasible.astype(bool)
 
 
+def _cut_dp_chunked(
+    finds: np.ndarray, c: int, d: int, b: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """:func:`_cut_dp_numpy` over row chunks of :func:`_auto_chunk` rows.
+
+    Rows are independent, so chunking bounds the transient candidate
+    tensor without changing a bit of the result.  An empty batch returns
+    empty arrays, as the compiled kernel does.
+    """
+    if finds.shape[0] == 0:
+        return (
+            np.empty((0, d), dtype=np.intp),
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=bool),
+        )
+    step = _auto_chunk(c)
+    parts = [
+        _cut_dp_numpy(finds[start : start + step], c, d, b)
+        for start in range(0, finds.shape[0], step)
+    ]
+    sizes, values, feasible = (np.concatenate(column) for column in zip(*parts))
+    return sizes, values, feasible
+
+
 def optimize_cuts_batch(
     prefix_stops: np.ndarray,
     num_rounds: int,
     *,
     max_group_size: Optional[int] = None,
-    backend: str = "auto",
-    chunk: Optional[int] = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Batched Lemma 4.7 cut DP (:func:`repro.core.dp.optimize_cuts`).
 
@@ -263,20 +287,11 @@ def optimize_cuts_batch(
     c = finds.shape[1] - 1
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    chosen = resolve_backend(backend)
-    if chosen == "compiled":
+    if resolve_backend() == "compiled":
         sizes, values, _feasible = _cut_dp_compiled(finds, c, d, b)
-        return sizes, values
-    if finds.shape[0] == 0:
-        return np.empty((0, d), dtype=np.intp), np.empty(0, dtype=np.float64)
-    step = _auto_chunk(c) if chunk is None else max(1, int(chunk))
-    sizes_parts, values_parts = [], []
-    for start in range(0, finds.shape[0], step):
-        part = finds[start : start + step]
-        sizes, values, _feasible = _cut_dp_numpy(part, c, d, b)
-        sizes_parts.append(sizes)
-        values_parts.append(values)
-    return np.concatenate(sizes_parts), np.concatenate(values_parts)
+    else:
+        sizes, values, _feasible = _cut_dp_chunked(finds, c, d, b)
+    return sizes, values
 
 
 def plan_batch(
@@ -284,8 +299,6 @@ def plan_batch(
     num_rounds: Optional[int] = None,
     *,
     max_group_size: Optional[int] = None,
-    backend: str = "auto",
-    chunk: Optional[int] = None,
 ) -> BatchPlanResult:
     """Run the Fig. 1 heuristic over a whole stack of instances at once.
 
@@ -294,11 +307,8 @@ def plan_batch(
     objects (in which case ``num_rounds`` defaults to their shared
     ``max_rounds``).  Rows are independent: a row's plan does not depend
     on the rest of the batch, so a batch of one is the scalar planner.
-
-    ``backend`` selects the cut-DP implementation: ``"numpy"``,
-    ``"compiled"``, or ``"auto"`` (compiled when available, else numpy —
-    see :mod:`repro.core.backends` for the fallback rules and environment
-    overrides).  ``chunk`` bounds the numpy backend's transient memory.
+    The result's ``backend`` names the implementation that ran (see
+    :mod:`repro.core.backends` for how it is chosen).
 
     replint: solver
     """
@@ -323,7 +333,7 @@ def plan_batch(
     batch, m, c = stacked.shape
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    chosen = resolve_backend(backend)
+    chosen = resolve_backend()
     with span(
         "planner.batch", backend=chosen, batch=batch, cells=c, devices=m, rounds=d
     ):
@@ -331,7 +341,7 @@ def plan_batch(
         if chosen == "compiled":
             orders, sizes, values, feasible = _plan_compiled(stacked, d, b)
         else:
-            orders, sizes, values, feasible = _plan_numpy(stacked, d, b, chunk)
+            orders, sizes, values, feasible = _plan_numpy(stacked, d, b)
     return BatchPlanResult(
         orders=orders,
         group_sizes=sizes,
@@ -342,7 +352,7 @@ def plan_batch(
 
 
 def _plan_numpy(
-    stacked: np.ndarray, d: int, b: int, chunk: Optional[int]
+    stacked: np.ndarray, d: int, b: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Full pipeline on the numpy backend.
 
@@ -352,30 +362,8 @@ def _plan_numpy(
     weights = stacked.sum(axis=1)
     orders = np.argsort(-weights, axis=1, kind="stable").astype(np.intp)
     finds = prefix_stop_probabilities_batch(stacked, orders)
-    batch, _m, c = stacked.shape
-    if batch == 0:
-        # Keep batch == 0 well-defined and backend-agnostic: the compiled
-        # kernel naturally returns empty arrays, so the numpy path must too.
-        return (
-            orders,
-            np.empty((0, d), dtype=np.intp),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=bool),
-        )
-    step = _auto_chunk(c) if chunk is None else max(1, int(chunk))
-    sizes_parts, values_parts, feasible_parts = [], [], []
-    for start in range(0, batch, step):
-        part = finds[start : start + step]
-        sizes, values, feasible = _cut_dp_numpy(part, c, d, b)
-        sizes_parts.append(sizes)
-        values_parts.append(values)
-        feasible_parts.append(feasible)
-    return (
-        orders,
-        np.concatenate(sizes_parts),
-        np.concatenate(values_parts),
-        np.concatenate(feasible_parts),
-    )
+    sizes, values, feasible = _cut_dp_chunked(finds, stacked.shape[2], d, b)
+    return orders, sizes, values, feasible
 
 
 def _plan_compiled(

@@ -15,9 +15,11 @@ paging over the whole family, achieved by the group sizes recovered from the
 argmin table — exactly the pseudocode of Fig. 1.
 
 The implementation follows Theorem 4.8: ``O(c(m + dc))`` time.  It accepts an
-optional per-round group-size cap (the bandwidth-limited model of Section 5)
-and arbitrary prefix stopping probabilities (the Yellow Pages and Signature
-variants), since the recursion only needs ``F`` to be a monotone prefix rule.
+optional per-round group-size cap (the bandwidth-limited model of Section 5).
+The recursion's conditioning ``(1 - F[c-k+x]) / (1 - F[c-k])`` is the
+Conference Call product form; stopping rules without it (the Yellow Pages and
+Signature variants) use :func:`optimize_cuts`, which maximizes the telescoped
+Lemma 2.1 bonus directly and needs only a monotone prefix rule ``F``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ def optimize_over_order(
     *,
     max_rounds: Optional[int] = None,
     max_group_size: Optional[int] = None,
-    prefix_stop_probabilities: Optional[Sequence[Number]] = None,
 ) -> OrderedDPResult:
     """Best strategy paging cells in the given sequence (Lemma 4.7).
 
@@ -70,10 +71,6 @@ def optimize_over_order(
     max_group_size:
         Bandwidth limit ``b``: no round may page more than ``b`` cells
         (Section 5 extension).  Requires ``d * b >= c``.
-    prefix_stop_probabilities:
-        ``F[k]`` for ``k = 0..c`` — probability the search stops within the
-        first ``k`` cells of ``order``.  Defaults to the Conference Call rule
-        (all devices inside the prefix).  ``F[c]`` must equal 1.
 
     replint: solver
     """
@@ -90,16 +87,8 @@ def optimize_over_order(
             f"cannot page {c} cells within {d} rounds of at most {b} cells each"
         )
 
-    if prefix_stop_probabilities is None:
-        finds = instance.prefix_find_probabilities(order)
-    else:
-        finds = tuple(prefix_stop_probabilities)
-        if len(finds) != c + 1:
-            raise ValueError(
-                f"prefix_stop_probabilities needs {c + 1} entries, got {len(finds)}"
-            )
-    exact = instance.is_exact and all(isinstance(f, (int, Fraction)) for f in finds)
-    one: Number = Fraction(1) if exact else 1.0
+    finds = instance.prefix_find_probabilities(order)
+    one: Number = Fraction(1) if instance.is_exact else 1.0
 
     # survivor[j] = probability the search continues past the first j cells.
     survivor = [one - f for f in finds]
@@ -154,13 +143,9 @@ def optimize_over_order(
         raise AssertionError("dynamic program reconstruction did not consume all cells")
 
     strategy = Strategy.from_order_and_sizes(order, sizes)
-    if prefix_stop_probabilities is None:
-        value = expected_paging(instance, strategy)
-    else:
-        value = previous[c]
     return OrderedDPResult(
         strategy=strategy,
-        expected_paging=value,
+        expected_paging=expected_paging(instance, strategy),
         order=order,
         group_sizes=tuple(sizes),
     )

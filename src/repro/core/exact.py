@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
-from ..errors import SolverLimitError
+from ..errors import InfeasibleError, SolverLimitError
 from ..obs.instrument import traced
 from .expected_paging import expected_paging
 from .instance import Number, PagingInstance
@@ -108,7 +108,9 @@ def optimal_strategy(
     Maximizes the Lemma 2.1 bonus ``sum_r |S_{r+1}| F(L_r)`` over all chains
     of prefixes.  Supports the bandwidth-limited model via
     ``max_group_size``.  Raises :class:`SolverLimitError` above
-    :data:`MAX_EXACT_CELLS` cells.
+    :data:`MAX_EXACT_CELLS` cells, and :class:`InfeasibleError` before any
+    work when no ``d``-round strategy obeys the cap (``b < 1`` or
+    ``d * b < c``).
 
     replint: solver
     """
@@ -120,6 +122,10 @@ def optimal_strategy(
     d = instance.max_rounds if max_rounds is None else int(max_rounds)
     d = min(d, c)
     b = c if max_group_size is None else int(max_group_size)
+    if b < 1 or d * b < c:
+        raise InfeasibleError(
+            f"cannot page {c} cells within {d} rounds of at most {b} cells each"
+        )
     finds = _mask_find_probabilities(instance)
     full = (1 << c) - 1
     popcount = _popcount_table(full + 1)
@@ -162,9 +168,6 @@ def optimal_strategy(
         choice.append(new_choice)
         if t == d:
             break
-
-    if bonus[0] == minus_infinity:
-        raise SolverLimitError("no feasible chain found (check group-size cap)")
 
     # Reconstruct the chain from the empty prefix.  choice[t-1] holds the
     # extension chosen when t groups remain; the first group uses t = d.

@@ -23,8 +23,6 @@ from .tables import ExperimentTable
 # concrete functions (tests/experiments/test_solver_imports.py enforces it).
 _exact = get_solver("exact")
 _heuristic = get_solver("heuristic")
-_bandwidth_heuristic = get_solver("bandwidth-heuristic")
-_bandwidth_exact = get_solver("bandwidth-exact")
 _clustered = get_solver("clustered")
 _signature = get_solver("signature")
 _signature_cuts = get_solver("signature-cuts")
@@ -157,8 +155,8 @@ def run_e12_bandwidth(
         for b in sorted({num_cells, num_cells // 2, (num_cells + d - 1) // d}):
             if d * b < num_cells:
                 continue
-            capped = _bandwidth_heuristic(base, max_group_size=b)
-            exact = _bandwidth_exact(base, max_group_size=b)
+            capped = _heuristic(base, max_group_size=b)
+            exact = _exact(base, max_group_size=b)
             table.add_row(
                 d,
                 b,

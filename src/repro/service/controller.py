@@ -67,8 +67,6 @@ class ServiceConfig:
     quantization_step: float = 0.0
     #: registry name answering the requests (batch-capable names batch)
     solver: str = "heuristic"
-    #: planner backend forwarded to multi-backend solvers ("auto"/"numpy"/...)
-    backend: str = "auto"
     #: cache-miss accumulation window: flush a batch group at this size
     batch_window: int = 64
     #: ... or when its oldest member has waited this long (seconds)
@@ -241,9 +239,6 @@ class PagingController:
         self._window = self.config.batch_window
         self._timeout = self.config.batch_timeout_s
         self._max_pending = self.config.max_pending
-        self._backend_options: Dict[str, object] = {}
-        if "backend" in self._solver.spec.options:
-            self._backend_options["backend"] = self.config.backend
         self._shard_map = ShardMap(self.config.num_shards)
         self._shards = [
             _Shard(index, self.config.cache_size)
@@ -394,7 +389,6 @@ class PagingController:
         options: Dict[str, object] = {"max_rounds": rounds}
         if cap is not None:
             options["max_group_size"] = cap
-        options.update(self._backend_options)
         result = self._solver.run_batch(stack, **options)
         orders = result.orders
         sizes = result.group_sizes

@@ -33,7 +33,6 @@ from ..core.adaptive_variants import (
     adaptive_quorum_expected_paging,
     optimal_adaptive_quorum_expected_paging,
 )
-from ..core.bandwidth import bandwidth_limited_heuristic, bandwidth_limited_optimal
 from ..core.batch_plan import plan_batch
 from ..core.clustered import clustered_exhaustive
 from ..core.dp import optimize_over_order
@@ -106,10 +105,10 @@ def _plan_batch_many(instances, max_rounds=None, **options):
 @register_solver(
     "heuristic",
     kind="heuristic",
-    capabilities=("bandwidth", "vectorized", "batch", "multi-backend"),
+    capabilities=("bandwidth", "vectorized", "batch"),
     summary="weight ordering + Lemma 4.7 cut DP (the paper's main algorithm)",
     anchor="Fig. 1, Lemma 4.7, Theorem 4.8",
-    options=("max_rounds", "max_group_size", "backend", "chunk"),
+    options=("max_rounds", "max_group_size"),
     factor=APPROXIMATION_FACTOR,
     wraps=(conference_call_heuristic, plan_batch),
     batch=_plan_batch_many,
@@ -117,8 +116,7 @@ def _plan_batch_many(instances, max_rounds=None, **options):
 )
 def _heuristic(instance: PagingInstance, **options: object) -> _Adapted:
     # The number type picks the path: exact instances keep Fraction
-    # arithmetic in the reference (which takes no backend/chunk), float
-    # ones are a batch of one.
+    # arithmetic in the reference, float ones are a batch of one.
     if instance.is_exact:
         result = conference_call_heuristic(instance, **options)
         return result.strategy, result.expected_paging, {
@@ -161,25 +159,6 @@ def _two_round_split(instance: PagingInstance) -> _Adapted:
     result = two_device_two_round_heuristic(instance)
     return result.strategy, result.expected_paging, {
         "order": result.order, "first_round_size": result.first_round_size,
-    }
-
-
-@register_solver(
-    "bandwidth-heuristic",
-    kind="heuristic",
-    capabilities=("bandwidth",),
-    summary="weight ordering + cut DP under a per-round group-size cap",
-    anchor="Section 5 (bandwidth limits)",
-    options=("max_group_size", "max_rounds"),
-    required=("max_group_size",),
-    wraps=(bandwidth_limited_heuristic,),
-)
-def _bandwidth_heuristic(
-    instance: PagingInstance, max_group_size: int, **options: object
-) -> _Adapted:
-    result = bandwidth_limited_heuristic(instance, max_group_size, **options)
-    return result.strategy, result.expected_paging, {
-        "order": result.order, "group_sizes": result.group_sizes,
     }
 
 
@@ -254,24 +233,6 @@ def _single_user(instance: PagingInstance, **options: object) -> _Adapted:
     return result.strategy, result.expected_paging, {
         "order": result.order, "group_sizes": result.group_sizes,
     }
-
-
-@register_solver(
-    "bandwidth-exact",
-    kind="exact",
-    capabilities=("bandwidth",),
-    summary="optimal strategy under a per-round group-size cap (c <= 18)",
-    anchor="Section 5 (bandwidth limits)",
-    options=("max_group_size", "max_rounds"),
-    required=("max_group_size",),
-    wraps=(bandwidth_limited_optimal,),
-    supports=_fits_exact,
-)
-def _bandwidth_exact(
-    instance: PagingInstance, max_group_size: int, **options: object
-) -> _Adapted:
-    result = bandwidth_limited_optimal(instance, max_group_size, **options)
-    return result.strategy, result.expected_paging, {}
 
 
 @register_solver(

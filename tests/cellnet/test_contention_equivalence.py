@@ -1,6 +1,6 @@
 """Golden digests of contended runs: the shared-channel engine, pinned.
 
-The sixteen digests in ``test_legacy_equivalence.py`` all run with
+The fifteen digests in ``test_legacy_equivalence.py`` all run with
 ``channel_capacity=None``; this file pins the other half of the engine.
 Each scenario is a heavily loaded run over shared per-cell page slots
 (Poisson arrivals, offered load well above what the channels carry), so

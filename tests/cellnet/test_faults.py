@@ -287,14 +287,6 @@ class TestSimulatorIntegration:
         ).run()
         assert report.metrics.calls_handled > 0
 
-    def test_former_pager_name_runs_under_faults(self):
-        """"heuristic-batch" names the heuristic pager on the fault path too."""
-        lossy = FaultModel(page_loss=0.2)
-        former = build_simulator(pager="heuristic-batch", faults=lossy).run()
-        current = build_simulator(pager="heuristic", faults=lossy).run()
-        assert former.metrics.pages_lost > 0
-        assert former.summary() == current.summary()
-
     def test_stale_registry_forces_wider_searches(self):
         """With near-stationary devices, aging out confirmed fixes must
         register stale lookups (the fix exists but is distrusted)."""

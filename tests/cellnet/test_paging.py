@@ -20,7 +20,6 @@ from repro.cellnet import (
 )
 from repro.cellnet.paging import _global_groups
 from repro.core import PagingInstance
-from repro.core.backends import available_backends
 from repro.errors import SimulationError
 from repro.solvers import get_solver
 
@@ -248,9 +247,7 @@ class TestArrayAdmission:
         instance, _cells = build_sub_instance(priors, [3, 1, 2], max_rounds=2)
         assert instance.rows == ((1 / 3, 1 / 3, 1 / 3),)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_heuristic_plan_matches_registry_strategy(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_BACKEND", backend)
+    def test_heuristic_plan_matches_registry_strategy(self, backend):
         rng = np.random.default_rng(2602)
         planner = get_solver("heuristic")
         for _ in range(300):

@@ -265,10 +265,10 @@ class TestConditionalPriors:
     def test_conditional_beats_online_under_distance_reporting(self):
         """The acceptance bar: evolved beliefs page fewer cells per call."""
         online = build_simulator(
-            pager="heuristic-batch", reporting="distance", horizon=300
+            pager="heuristic", reporting="distance", horizon=300
         ).run()
         conditional = build_simulator(
-            pager="heuristic-batch", reporting="distance", horizon=300,
+            pager="heuristic", reporting="distance", horizon=300,
             prior_mode="conditional",
         ).run()
         assert conditional.metrics.calls_handled == online.metrics.calls_handled

@@ -5,13 +5,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core import PagingInstance
+from repro.core import PagingInstance, available_backends
 
 
 @pytest.fixture
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(20020721)  # PODC'02 date
+
+
+def use_backend(monkeypatch, name):
+    """Make the planner run on backend ``name``, the way CI chooses it.
+
+    ``"numpy"`` sets ``REPRO_DISABLE_COMPILED`` (a machine without a
+    toolchain); ``"compiled"`` and ``"auto"`` leave the machine as it is.
+    The variable is read before the kernel's per-process memo, so this
+    switches backends inside one test process.
+    """
+    if name == "numpy":
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+
+
+@pytest.fixture(params=available_backends())
+def backend(request, monkeypatch):
+    """Run the test once per planner backend this machine provides."""
+    use_backend(monkeypatch, request.param)
+    return request.param
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Backend selection, environment overrides, and graceful fallback."""
+"""Backend selection, the no-toolchain switch, and graceful fallback."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core import plan_batch
+from repro.core import optimize_cuts_batch, plan_batch
 from repro.core.backends import (
     BACKENDS,
     BackendUnavailableError,
@@ -13,6 +15,8 @@ from repro.core.backends import (
     load_compiled,
     resolve_backend,
 )
+from repro.service import ServiceConfig
+from repro.solvers import get_solver
 
 
 def _tiny_batch():
@@ -34,6 +38,19 @@ class TestResolveBackend:
     def test_available_backends_always_include_numpy(self):
         assert "numpy" in available_backends()
         assert set(available_backends()) <= set(BACKENDS)
+
+
+class TestNoCallerChoice:
+    """The machine picks the backend; no planner entry point takes one."""
+
+    @pytest.mark.parametrize("option", ["backend", "chunk"])
+    def test_planners_take_no_backend_or_chunk(self, option):
+        with pytest.raises(TypeError):
+            plan_batch(_tiny_batch(), 2, **{option: "numpy"})
+        with pytest.raises(TypeError):
+            optimize_cuts_batch(np.linspace(0.0, 1.0, 9)[None], 2, **{option: 3})
+        assert option not in get_solver("heuristic").spec.options
+        assert option not in {f.name for f in dataclasses.fields(ServiceConfig)}
 
 
 class TestDisableCompiled:
@@ -66,24 +83,6 @@ class TestDisableCompiled:
         monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
         with pytest.raises(BackendUnavailableError):
             resolve_backend("compiled")
-        with pytest.raises(BackendUnavailableError):
-            plan_batch(_tiny_batch(), 2, backend="compiled")
-
-
-class TestPlannerBackendOverride:
-    def test_forces_auto_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_BACKEND", "numpy")
-        assert resolve_backend("auto") == "numpy"
-        assert plan_batch(_tiny_batch(), 2).backend == "numpy"
-
-    def test_explicit_argument_beats_the_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_BACKEND", "compiled")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_forced_unknown_name_is_a_value_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="unknown planner backend"):
-            resolve_backend("auto")
 
 
 class TestObjectDigest:
@@ -125,4 +124,4 @@ class TestCompiledBackend:
         assert resolve_backend("compiled") == "compiled"
 
     def test_plan_batch_reports_compiled(self):
-        assert plan_batch(_tiny_batch(), 2, backend="compiled").backend == "compiled"
+        assert plan_batch(_tiny_batch(), 2).backend == "compiled"

@@ -1,17 +1,26 @@
-"""Unit tests for bandwidth-limited paging (Section 5)."""
+"""Unit tests for bandwidth-limited paging (Section 5).
+
+The capped planners are the uncapped ones with ``max_group_size``: the
+``heuristic`` registry entry (float plans through ``plan_batch``, exact
+ones through the reference) and the ``exact`` subset DP.
+"""
 
 import pytest
 
 from repro.core import (
-    bandwidth_limited_heuristic,
-    bandwidth_limited_optimal,
+    APPROXIMATION_FACTOR,
     conference_call_heuristic,
     is_feasible,
     minimum_rounds,
     optimal_strategy,
 )
+from repro.core import exact as exact_module
 from repro.errors import InfeasibleError
-from tests.conftest import random_instance
+from repro.solvers import get_solver
+from tests.conftest import random_exact_instance, random_instance
+
+heuristic = get_solver("heuristic")
+exact = get_solver("exact")
 
 
 class TestFeasibility:
@@ -34,17 +43,17 @@ class TestFeasibility:
 class TestHeuristicUnderCap:
     def test_cap_respected(self, rng):
         instance = random_instance(rng, num_cells=9, max_rounds=3)
-        result = bandwidth_limited_heuristic(instance, 4)
-        assert max(result.group_sizes) <= 4
+        result = heuristic(instance, max_group_size=4)
+        assert max(result.extras["group_sizes"]) <= 4
 
     def test_infeasible_raises(self, rng):
         instance = random_instance(rng, num_cells=9, max_rounds=2)
         with pytest.raises(InfeasibleError):
-            bandwidth_limited_heuristic(instance, 4)
+            heuristic(instance, max_group_size=4)
 
     def test_loose_cap_matches_uncapped(self, rng):
         instance = random_instance(rng, num_cells=8, max_rounds=3)
-        capped = bandwidth_limited_heuristic(instance, 8)
+        capped = heuristic(instance, max_group_size=8)
         uncapped = conference_call_heuristic(instance)
         assert float(capped.expected_paging) == pytest.approx(
             float(uncapped.expected_paging)
@@ -54,37 +63,57 @@ class TestHeuristicUnderCap:
         """Loosening the cap can only help."""
         instance = random_instance(rng, num_cells=8, max_rounds=4)
         values = [
-            float(bandwidth_limited_heuristic(instance, b).expected_paging)
+            float(heuristic(instance, max_group_size=b).expected_paging)
             for b in (2, 3, 5, 8)
         ]
         for i in range(len(values) - 1):
             assert values[i + 1] <= values[i] + 1e-12
 
+    def test_exact_instance_keeps_fraction_arithmetic(self, rng):
+        instance = random_exact_instance(rng, num_cells=6, max_rounds=3)
+        capped = heuristic(instance, max_group_size=2)
+        reference = conference_call_heuristic(instance, max_group_size=2)
+        assert capped.expected_paging == reference.expected_paging
+        assert capped.strategy == reference.strategy
+
 
 class TestOptimalUnderCap:
     def test_cap_respected(self, rng):
         instance = random_instance(rng, num_cells=7, max_rounds=3)
-        result = bandwidth_limited_optimal(instance, 3)
+        result = exact(instance, max_group_size=3)
         assert max(result.strategy.group_sizes()) <= 3
 
     def test_heuristic_within_factor_of_capped_optimum(self, rng):
-        from repro.core import APPROXIMATION_FACTOR
-
         for _ in range(5):
             instance = random_instance(rng, num_cells=7, max_rounds=3)
-            heuristic = bandwidth_limited_heuristic(instance, 3)
-            optimum = bandwidth_limited_optimal(instance, 3)
-            assert float(heuristic.expected_paging) <= APPROXIMATION_FACTOR * float(
+            capped = heuristic(instance, max_group_size=3)
+            optimum = exact(instance, max_group_size=3)
+            assert float(capped.expected_paging) <= APPROXIMATION_FACTOR * float(
                 optimum.expected_paging
             ) + 1e-9
 
     def test_capped_optimum_never_beats_uncapped(self, rng):
         instance = random_instance(rng, num_cells=7, max_rounds=3)
-        capped = bandwidth_limited_optimal(instance, 3)
+        capped = exact(instance, max_group_size=3)
         uncapped = optimal_strategy(instance)
         assert float(capped.expected_paging) >= float(uncapped.expected_paging) - 1e-12
 
     def test_infeasible_raises(self, rng):
         instance = random_instance(rng, num_cells=7, max_rounds=2)
         with pytest.raises(InfeasibleError):
-            bandwidth_limited_optimal(instance, 3)
+            exact(instance, max_group_size=3)
+
+    @pytest.mark.parametrize("rounds,cap", [(3, 4), (3, 0), (14, -1)])
+    def test_infeasible_cap_raises_before_the_subset_dp(
+        self, rng, monkeypatch, rounds, cap
+    ):
+        """``b < 1`` or ``d * b < c`` is infeasible, not a size limit, and
+        is known from the shape alone: no ``2^c`` table is built."""
+
+        def no_table(instance):
+            raise AssertionError("subset DP ran on an infeasible cap")
+
+        monkeypatch.setattr(exact_module, "_mask_find_probabilities", no_table)
+        instance = random_instance(rng, num_cells=14, max_rounds=rounds)
+        with pytest.raises(InfeasibleError, match="14 cells"):
+            optimal_strategy(instance, max_group_size=cap)

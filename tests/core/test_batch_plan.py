@@ -35,9 +35,11 @@ from repro.core import (
     plan_batch,
     stack_instances,
 )
+from repro.core import batch_plan
 from repro.core.batch_plan import prefix_stop_probabilities_batch
 from repro.errors import InfeasibleError
 from repro.solvers import get_solver
+from tests.conftest import use_backend
 
 ROOT_SEED = 20020722
 
@@ -80,18 +82,19 @@ def _random_batch(shape_index):
     return instances, matrices
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("shape_index", range(len(SHAPES)))
 def test_plan_batch_rows_equal_scalar_planner(shape_index, backend):
     batch, devices, cells, rounds, cap = SHAPES[shape_index]
     instances, matrices = _random_batch(shape_index)
-    result = plan_batch(matrices, rounds, max_group_size=cap, backend=backend)
+    result = plan_batch(matrices, rounds, max_group_size=cap)
     assert result.backend == backend
     assert len(result) == batch
     assert bool(result.feasible.all())
     heuristic = get_solver("heuristic")
     for i, instance in enumerate(instances):
-        scalar = heuristic(instance, max_group_size=cap, backend=backend)
+        scalar = heuristic(instance, max_group_size=cap)
+        assert scalar.extras["backend"] == backend
         row = result.result(i)
         assert row.order == scalar.extras["order"]
         assert row.group_sizes == scalar.extras["group_sizes"]
@@ -100,8 +103,9 @@ def test_plan_batch_rows_equal_scalar_planner(shape_index, backend):
         assert row.strategy == scalar.strategy
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_optimize_cuts_batch_equals_scalar_including_exact_ties(backend):
+def test_optimize_cuts_batch_equals_scalar_including_exact_ties(
+    backend, monkeypatch
+):
     # linspace find tables create exact float ties between cut candidates,
     # exercising the first-occurrence argmax/backtrack rule.
     c, d = 20, 4
@@ -110,26 +114,28 @@ def test_optimize_cuts_batch_equals_scalar_including_exact_ties(backend):
     random_rows = np.sort(rng.random((6, c + 1)), axis=1)
     random_rows[:, 0] = 0.0
     finds = np.vstack([tied, np.zeros(c + 1), np.ones(c + 1), random_rows])
-    for cap in (None, 6, c, 3 * c):
-        sizes, values = optimize_cuts_batch(
-            finds, d, max_group_size=cap, backend=backend
-        )
+    stacks = {
+        cap: optimize_cuts_batch(finds, d, max_group_size=cap)
+        for cap in (None, 6, c, 3 * c)
+    }
+    # One row at a time through the numpy reference backend: same tie rule,
+    # same bits, whichever backend planned the whole stack.
+    use_backend(monkeypatch, "numpy")
+    for cap, (sizes, values) in stacks.items():
         for i in range(finds.shape[0]):
-            # One row through the numpy reference backend: same tie rule,
-            # same bits, whichever backend planned the whole stack.
             ref_sizes, ref_values = optimize_cuts_batch(
-                finds[i : i + 1], d, max_group_size=cap, backend="numpy"
+                finds[i : i + 1], d, max_group_size=cap
             )
             assert np.array_equal(sizes[i], ref_sizes[0])
             assert values[i].item() == ref_values[0].item()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_numpy_chunking_is_invisible(backend):
+def test_numpy_chunking_is_invisible(backend, monkeypatch):
     _instances, matrices = _random_batch(1)
     rounds = SHAPES[1][3]
-    one_shot = plan_batch(matrices, rounds, backend=backend)
-    chunked = plan_batch(matrices, rounds, backend=backend, chunk=3)
+    one_shot = plan_batch(matrices, rounds)
+    monkeypatch.setattr(batch_plan, "_auto_chunk", lambda c: 3)
+    chunked = plan_batch(matrices, rounds)
     assert np.array_equal(one_shot.orders, chunked.orders)
     assert np.array_equal(one_shot.group_sizes, chunked.group_sizes)
     assert np.array_equal(one_shot.values, chunked.values)
@@ -154,15 +160,22 @@ WIDE_SHAPES = [
 ]
 
 
+def _plan_on(monkeypatch, name, matrices, rounds, cap):
+    with monkeypatch.context() as patch:
+        use_backend(patch, name)
+        result = plan_batch(matrices, rounds, max_group_size=cap)
+    assert result.backend == name
+    return result
+
+
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend unavailable")
-def test_backends_agree_bit_for_bit():
+def test_backends_agree_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(ROOT_SEED, spawn_key=(7,)))
     assert len(WIDE_SHAPES) == 21
     for batch, devices, cells, rounds, cap in WIDE_SHAPES:
         matrices = rng.dirichlet(np.ones(cells), size=(batch, devices))
         results = [
-            plan_batch(matrices, rounds, max_group_size=cap, backend=backend)
-            for backend in BACKENDS
+            _plan_on(monkeypatch, name, matrices, rounds, cap) for name in BACKENDS
         ]
         for other in results[1:]:
             assert np.array_equal(results[0].orders, other.orders)
@@ -215,7 +228,6 @@ def _exact_value(instance, strategy):
     return expected_paging(exact, strategy)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_float_plans_match_reference_contract(backend):
     """The one equivalence contract (docs/performance.md, "Bit-identity scope").
 
@@ -234,7 +246,7 @@ def test_float_plans_match_reference_contract(backend):
         for _ in range(CONTRACT_INSTANCES):
             instance, cap = _contract_instance(rng, family)
             reference = conference_call_heuristic(instance, max_group_size=cap)
-            plan = heuristic(instance, max_group_size=cap, backend=backend)
+            plan = heuristic(instance, max_group_size=cap)
             assert plan.extras["backend"] == backend
             assert plan.extras["order"] == reference.order
             value = plan.expected_paging
@@ -278,6 +290,8 @@ def test_run_batch_rejects_exact_instances(exact_instance, rng):
         heuristic.run_batch(floats + [exact_instance])
     with pytest.raises(TypeError, match="backend"):
         heuristic(exact_instance, backend="numpy")
+    with pytest.raises(TypeError, match="backend"):
+        heuristic(floats[0], backend="numpy")
     # Float instances: scalar and batch calls return the same plans.
     plans = heuristic.run_batch(floats)
     for row, instance in enumerate(floats):
@@ -288,7 +302,6 @@ def test_run_batch_rejects_exact_instances(exact_instance, rng):
         assert plans.result(row).order == single.extras["order"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible_budgets_raise_exactly_like_the_scalar_planner(backend):
     _instances, matrices = _random_batch(0)
     matrices = matrices[:4]
@@ -297,12 +310,12 @@ def test_infeasible_budgets_raise_exactly_like_the_scalar_planner(backend):
     with pytest.raises(InfeasibleError):
         optimize_cuts([0.0] * (cells + 1), 3, max_group_size=2)
     with pytest.raises(InfeasibleError):
-        plan_batch(matrices, 3, max_group_size=2, backend=backend)
+        plan_batch(matrices, 3, max_group_size=2)
     # d outside 1 <= d <= c.
     with pytest.raises(InfeasibleError):
-        plan_batch(matrices, cells + 1, backend=backend)
+        plan_batch(matrices, cells + 1)
     with pytest.raises(InfeasibleError):
-        plan_batch(matrices, 0, backend=backend)
+        plan_batch(matrices, 0)
 
 
 def test_plan_batch_accepts_instance_sequences(rng):
@@ -333,15 +346,14 @@ def test_plan_batch_raw_array_requires_rounds(rng):
         plan_batch(matrices[0], 2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_cap_above_cell_count_plans_like_uncapped(backend):
     # Any cap above c is equivalent to cap == c; the oversized cap must not
     # read outside the compiled kernel's padded scratch rows.
     _instances, matrices = _random_batch(3)
     rounds = SHAPES[3][3]
     cells = matrices.shape[2]
-    huge = plan_batch(matrices, rounds, max_group_size=4 * cells, backend=backend)
-    capped = plan_batch(matrices, rounds, max_group_size=cells, backend=backend)
+    huge = plan_batch(matrices, rounds, max_group_size=4 * cells)
+    capped = plan_batch(matrices, rounds, max_group_size=cells)
     assert bool(huge.feasible.all())
     assert np.array_equal(huge.orders, capped.orders)
     assert np.array_equal(huge.group_sizes, capped.group_sizes)
@@ -349,21 +361,20 @@ def test_cap_above_cell_count_plans_like_uncapped(backend):
     assert (huge.group_sizes <= cells).all()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_batch_returns_empty_result(backend):
     c, d = 8, 2
-    result = plan_batch(np.empty((0, 2, c)), d, backend=backend)
+    result = plan_batch(np.empty((0, 2, c)), d)
+    assert result.backend == backend
     assert len(result) == 0
     assert result.orders.shape == (0, c)
     assert result.group_sizes.shape == (0, d)
     assert result.values.shape == (0,)
     assert result.feasible.shape == (0,)
-    sizes, values = optimize_cuts_batch(np.empty((0, c + 1)), d, backend=backend)
+    sizes, values = optimize_cuts_batch(np.empty((0, c + 1)), d)
     assert sizes.shape == (0, d)
     assert values.shape == (0,)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_negative_zero_weights_tie_break_by_index(backend):
     # np.argsort treats -0.0 == 0.0 as ties broken by original index; a raw
     # bit-pattern sort would put -0.0 (sign bit set) before every positive
@@ -373,7 +384,7 @@ def test_negative_zero_weights_tie_break_by_index(backend):
     matrices[:, :, 1] = -0.0
     matrices[:, :, 4] = -0.0
     matrices[:, :, 3] = 0.25
-    result = plan_batch(matrices, 2, backend=backend)
+    result = plan_batch(matrices, 2)
     expected = np.argsort(
         -matrices.sum(axis=1), axis=1, kind="stable"
     ).astype(np.intp)

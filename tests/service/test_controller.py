@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.service import controller as controller_module
 from repro.solvers import get_solver, solve_instance
+from tests.conftest import use_backend
 
 
 def _profile(seed, devices=3, cells=10):
@@ -179,12 +180,13 @@ class TestFailedFlushes:
 
     @pytest.mark.parametrize("solver,backend", FLUSH_PATHS)
     @pytest.mark.parametrize("trigger", ["submit", "poll", "flush"])
-    def test_infeasible_group_fails_every_ticket(self, solver, backend, trigger):
+    def test_infeasible_group_fails_every_ticket(
+        self, solver, backend, trigger, monkeypatch
+    ):
+        use_backend(monkeypatch, backend)
         now = [0.0]
         controller = PagingController(
-            ServiceConfig(
-                solver=solver, backend=backend, batch_window=2, batch_timeout_s=1.0
-            ),
+            ServiceConfig(solver=solver, batch_window=2, batch_timeout_s=1.0),
             clock=lambda: now[0],
         )
         # 6 cells, 3 rounds, at most 1 cell a round: the group has no plan
@@ -209,12 +211,11 @@ class TestFailedFlushes:
     @pytest.mark.parametrize("solver,backend", FLUSH_PATHS)
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
     def test_bad_entry_fails_its_row_and_the_rest_still_plan(
-        self, solver, backend, bad
+        self, solver, backend, bad, monkeypatch
     ):
+        use_backend(monkeypatch, backend)
         controller = PagingController(
-            ServiceConfig(
-                solver=solver, backend=backend, batch_window=8, batch_timeout_s=60.0
-            )
+            ServiceConfig(solver=solver, batch_window=8, batch_timeout_s=60.0)
         )
         matrix = _profile(3, 2, 6)
         matrix[1, 4] = bad
@@ -228,11 +229,10 @@ class TestFailedFlushes:
         assert tickets[0].status == "failed"
         assert f"[1, 4] = {bad!r}" in tickets[0].reason
         assert tickets[1].status == "ok"
-        options = {"backend": backend} if solver == "heuristic" else {}
-        fresh = solve_instance(
-            solver, request_instance(requests[1]), max_rounds=3, **options
-        )
+        fresh = solve_instance(solver, request_instance(requests[1]), max_rounds=3)
         plan = tickets[1].plan
+        if solver == "heuristic":
+            assert plan.backend == fresh.extras["backend"] == backend
         assert float(plan.expected_paging).hex() == float(fresh.expected_paging).hex()
         assert plan.strategy().groups == fresh.strategy.groups
         if plan.order is not None:

@@ -17,8 +17,6 @@ from repro.core import (
     PagingInstance,
     adaptive_expected_paging,
     adaptive_quorum_expected_paging,
-    bandwidth_limited_heuristic,
-    bandwidth_limited_optimal,
     clustered_exhaustive,
     conference_call_heuristic,
     lower_bound_instance,
@@ -90,8 +88,9 @@ CASES = [
      lambda: _sv(profile_heuristic(SKEWED))),
     ("two-round-split", GADGET, {},
      lambda: _sv(two_device_two_round_heuristic(GADGET))),
-    ("bandwidth-heuristic", SKEWED, {"max_group_size": 2},
-     lambda: _sv(bandwidth_limited_heuristic(SKEWED, 2))),
+    # Section 5's bandwidth cap is an option of the same entries.
+    ("heuristic", SKEWED_FLOAT, {"max_group_size": 2},
+     lambda: _sv(plan_batch([SKEWED_FLOAT], max_group_size=2).result(0))),
     ("dp-cuts", SKEWED, {"order": ORDER5},
      lambda: _sv(optimize_over_order(SKEWED, ORDER5))),
     ("dp-cuts", GADGET, {"order": ORDER8},
@@ -104,8 +103,8 @@ CASES = [
      lambda: _sv(optimal_strategy_bruteforce(SKEWED))),
     ("single-user", SINGLE, {},
      lambda: _sv(optimal_single_user(SINGLE))),
-    ("bandwidth-exact", SKEWED, {"max_group_size": 2},
-     lambda: _sv(bandwidth_limited_optimal(SKEWED, 2))),
+    ("exact", SKEWED, {"max_group_size": 2},
+     lambda: _sv(optimal_strategy(SKEWED, max_group_size=2))),
     ("clustered", SKEWED, {},
      lambda: _sv(clustered_exhaustive(SKEWED))),
     ("weighted-heuristic", SKEWED, {"costs": COSTS5},
