@@ -43,10 +43,11 @@ report:
 save-report:
 	$(PYTHON) -c "from repro.experiments import save_report; print('\n'.join(save_report('reports')))"
 
+# Runs every example; stops at (and exits with) the first one that fails.
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script =="; \
-		$(PYTHON) $$script; \
+		$(PYTHON) $$script || exit 1; \
 		echo; \
 	done
 

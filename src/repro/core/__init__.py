@@ -10,23 +10,18 @@ Pages, Signature, bandwidth caps, clustered scheme).
 from __future__ import annotations
 
 from .adaptive import (
+    AdaptiveOptimalResult,
     AdaptiveTrace,
     adaptive_expected_paging,
     adaptive_monte_carlo,
-    adaptive_search,
-)
-from .adaptive_variants import (
-    AdaptiveQuorumTrace,
     adaptive_quorum_expected_paging,
     adaptive_quorum_monte_carlo,
     adaptive_quorum_search,
+    adaptive_search,
     adaptive_yellow_pages_expected_paging,
-    optimal_adaptive_quorum_expected_paging,
-)
-from .adaptive_optimal import (
-    AdaptiveOptimalResult,
     adaptivity_gap,
     optimal_adaptive_expected_paging,
+    optimal_adaptive_quorum_expected_paging,
 )
 from .backends import (
     BackendUnavailableError,
@@ -72,13 +67,11 @@ from .clustered import (
 from .dp import OrderedDPResult, dp_value_table, optimize_cuts, optimize_over_order
 from .exact import (
     ExactResult,
+    VariantExactResult,
     enumerate_strategies,
+    optimal_signature,
     optimal_strategy,
     optimal_strategy_bruteforce,
-)
-from .exact_variants import (
-    VariantExactResult,
-    optimal_signature,
     optimal_yellow_pages,
 )
 from .serialization import (

@@ -181,6 +181,20 @@ def optimize_cuts(
         raise InfeasibleError(
             f"cannot page {c} cells within {d} rounds of at most {b} cells each"
         )
+    return _best_cuts(finds, range(c + 1), d, b)
+
+
+def _best_cuts(
+    finds: Sequence[Number], costs: Sequence[Number], d: int, b: int
+) -> Tuple[Tuple[int, ...], Number]:
+    """The cut DP body: maximize ``sum_r (costs[j_{r+1}] - costs[j_r]) F[j_r]``.
+
+    ``costs[j]`` is what paging the first ``j`` cells costs (``j`` itself
+    for cell counts, prefix sums of per-cell costs for the weighted model);
+    groups hold at most ``b`` cells.  Returns ``(group_sizes, costs[c] -
+    best bonus)``.
+    """
+    c = len(finds) - 1
     minus_infinity = float("-inf")
     zero = 0 * finds[c]
 
@@ -196,7 +210,7 @@ def optimize_cuts(
                 tail = best[prev]
                 if tail == minus_infinity:
                     continue
-                value = tail + (j - prev) * finds[prev]
+                value = tail + (costs[j] - costs[prev]) * finds[prev]
                 if value > new_best[j]:
                     new_best[j] = value
                     new_parent[j] = prev
@@ -211,7 +225,7 @@ def optimize_cuts(
     cuts.append(0)
     cuts.reverse()
     sizes = tuple(cuts[r + 1] - cuts[r] for r in range(d))
-    return sizes, c - best[c]
+    return sizes, costs[c] - best[c]
 
 
 def dp_value_table(

@@ -34,6 +34,14 @@ class SignatureResult:
     quorum: int
 
 
+def _check_quorum(num_devices: int, quorum: int) -> None:
+    """Raise unless ``1 <= quorum <= num_devices``."""
+    if not 1 <= quorum <= num_devices:
+        raise InvalidInstanceError(
+            f"quorum must satisfy 1 <= k <= m={num_devices}, got {quorum}"
+        )
+
+
 def poisson_binomial_tail(successes: Sequence[Number], quorum: int) -> Number:
     """``Pr[at least `quorum` of the independent events occur]``.
 
@@ -63,10 +71,7 @@ def prefix_stop_probabilities(
 ) -> Tuple[Number, ...]:
     """``F[j] = Pr[>= quorum devices lie in the first j cells of order]``."""
     order = validate_order(order, instance.num_cells)
-    if not 1 <= quorum <= instance.num_devices:
-        raise InvalidInstanceError(
-            f"quorum must satisfy 1 <= k <= m={instance.num_devices}, got {quorum}"
-        )
+    _check_quorum(instance.num_devices, quorum)
     exact = instance.is_exact
     zero: Number = Fraction(0) if exact else 0.0
     sums = [zero] * instance.num_devices

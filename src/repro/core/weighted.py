@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import InfeasibleError, SolverLimitError
+from ..errors import InfeasibleError
+from .dp import _best_cuts
+from .exact import _best_chain, _check_size, _find_table, _round_budget, _subset_sums
 from .expected_paging import stop_probabilities
 from .instance import Number, PagingInstance
 from .strategy import Strategy
-
-#: Same tractability cap as the other subset DPs.
-MAX_EXACT_CELLS = 18
 
 
 def _validate_costs(costs: Sequence[Number], num_cells: int) -> Tuple[Number, ...]:
@@ -100,36 +99,7 @@ def optimize_cuts_weighted(
     d = int(num_rounds)
     if not 1 <= d <= c:
         raise InfeasibleError(f"number of rounds must satisfy 1 <= d <= {c}")
-    minus_infinity = float("-inf")
-    zero = 0 * finds[c]
-
-    best: List = [zero] * (c + 1)
-    best[0] = minus_infinity
-    parents = []
-    for _level in range(2, d + 1):
-        new_best: List = [minus_infinity] * (c + 1)
-        parent = [0] * (c + 1)
-        for j in range(1, c + 1):
-            for prev in range(1, j):
-                tail = best[prev]
-                if tail == minus_infinity:
-                    continue
-                value = tail + (wsum[j] - wsum[prev]) * finds[prev]
-                if value > new_best[j]:
-                    new_best[j] = value
-                    parent[j] = prev
-        best = new_best
-        parents.append(parent)
-
-    if best[c] == minus_infinity:
-        raise InfeasibleError("no feasible cut sequence")
-    cuts = [c]
-    for parent in reversed(parents):
-        cuts.append(parent[cuts[-1]])
-    cuts.append(0)
-    cuts.reverse()
-    sizes = tuple(cuts[r + 1] - cuts[r] for r in range(d))
-    return sizes, wsum[c] - best[c]
+    return _best_cuts(finds, wsum, d, c)
 
 
 def weighted_heuristic(
@@ -195,74 +165,19 @@ def optimal_weighted_strategy(
     replint: solver
     """
     c = instance.num_cells
-    if c > MAX_EXACT_CELLS:
-        raise SolverLimitError(f"exact solver limited to {MAX_EXACT_CELLS} cells")
+    _check_size(c)
     costs = _validate_costs(costs, c)
-    d = instance.max_rounds if max_rounds is None else int(max_rounds)
-    d = min(d, c)
+    d = _round_budget(instance, max_rounds)
+    # Plans in floats as soon as any cost is a float, even on an exact
+    # instance, so the F table is built here in that arithmetic.
     exact = instance.is_exact and all(
         isinstance(cost, (int, Fraction)) for cost in costs
     )
     one: Number = Fraction(1) if exact else 1.0
-
-    full = (1 << c) - 1
-    popcount = [bin(mask).count("1") for mask in range(full + 1)]
-    # F(mask) and W(mask) tables.
     zero: Number = 0 * one
-    device_sums: List[List[Number]] = []
-    for row in instance.rows:
-        sums = [zero] * (full + 1)
-        for mask in range(1, full + 1):
-            low = mask & (-mask)
-            sums[mask] = sums[mask ^ low] + row[low.bit_length() - 1]
-        device_sums.append(sums)
-    finds = [one] * (full + 1)
-    mask_cost = [zero] * (full + 1)
-    for mask in range(full + 1):
-        value = one
-        for sums in device_sums:
-            value = value * sums[mask]
-        finds[mask] = value
-        if mask:
-            low = mask & (-mask)
-            mask_cost[mask] = mask_cost[mask ^ low] + costs[low.bit_length() - 1]
-
-    minus_infinity = float("-inf")
-    bonus: List = [minus_infinity] * (full + 1)
-    bonus[full] = zero
-    choice: List[List[int]] = []
-    for t in range(1, d + 1):
-        new_bonus: List = [minus_infinity] * (full + 1)
-        new_choice = [0] * (full + 1)
-        for mask in range(full + 1):
-            complement = full ^ mask
-            if popcount[complement] < t:
-                continue
-            find_here = finds[mask]
-            best = minus_infinity
-            best_ext = 0
-            sub = complement
-            while sub:
-                tail = bonus[mask | sub]
-                if tail != minus_infinity:
-                    value = mask_cost[sub] * find_here + tail
-                    if value > best:
-                        best = value
-                        best_ext = sub
-                sub = (sub - 1) & complement
-            if best != minus_infinity:
-                new_bonus[mask] = best
-                new_choice[mask] = best_ext
-        bonus = new_bonus
-        choice.append(new_choice)
-
-    groups = []
-    mask = 0
-    for t in range(d, 0, -1):
-        ext = choice[t - 1][mask]
-        groups.append([j for j in range(c) if ext >> j & 1])
-        mask |= ext
-    strategy = Strategy(groups)
+    finds = _find_table(instance.rows, zero, one)
+    mask_cost = _subset_sums([costs], zero)[0]
+    strategy = _best_chain(finds, mask_cost, c, d, c)
     return WeightedResult(
         strategy=strategy,
         expected_cost=weighted_expected_paging(instance, strategy, costs),

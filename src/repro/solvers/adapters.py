@@ -24,13 +24,11 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.adaptive import adaptive_expected_paging
-from ..core.adaptive_optimal import (
+from ..core.adaptive import (
     MAX_ADAPTIVE_CELLS,
-    optimal_adaptive_expected_paging,
-)
-from ..core.adaptive_variants import (
+    adaptive_expected_paging,
     adaptive_quorum_expected_paging,
+    optimal_adaptive_expected_paging,
     optimal_adaptive_quorum_expected_paging,
 )
 from ..core.batch_plan import plan_batch
@@ -38,10 +36,11 @@ from ..core.clustered import clustered_exhaustive
 from ..core.dp import optimize_over_order
 from ..core.exact import (
     MAX_EXACT_CELLS,
+    optimal_signature,
     optimal_strategy,
     optimal_strategy_bruteforce,
+    optimal_yellow_pages,
 )
-from ..core.exact_variants import optimal_signature, optimal_yellow_pages
 from ..core.heuristic import (
     APPROXIMATION_FACTOR,
     conference_call_heuristic,

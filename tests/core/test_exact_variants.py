@@ -14,7 +14,7 @@ from repro.core import (
     optimal_yellow_pages,
     yellow_pages_greedy,
 )
-from repro.errors import SolverLimitError
+from repro.errors import ReproError, SolverLimitError
 from tests.conftest import random_exact_instance, random_instance
 
 
@@ -108,6 +108,11 @@ class TestOptimalSignature:
         instance = random_instance(rng, num_devices=2, num_cells=5)
         with pytest.raises(ValueError, match="quorum"):
             optimal_signature(instance, 3)
+
+    def test_bad_quorum_is_a_repro_error(self, rng):
+        instance = random_instance(rng, num_devices=2, num_cells=4)
+        with pytest.raises(ReproError, match="quorum"):
+            optimal_signature(instance, instance.num_devices + 1)
 
     def test_rule_label(self, rng):
         instance = random_instance(rng, num_devices=2, num_cells=5, max_rounds=2)

@@ -96,6 +96,23 @@ class TestDocsSync:
                 f"docs/paper_map.md never cites {spec.name!r}'s anchor {spec.anchor!r}"
             )
 
+    def test_paper_map_cites_every_wrapped_function(self):
+        """Each registry row's Wraps cell names ``core/<module>.py::<name>``."""
+        rows = {}
+        for line in (self.DOCS / "paper_map.md").read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 5 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = cells[3]
+        for spec in list_solvers():
+            assert spec.name in rows, f"no registry row for {spec.name!r}"
+            for dotted in spec.wraps:
+                module, _, name = dotted.rpartition(".")
+                path = module.replace("repro.", "", 1).replace(".", "/")
+                cited = f"`{path}.py::{name}`"
+                assert cited in rows[spec.name], (
+                    f"docs/paper_map.md's {spec.name!r} row should cite {cited}"
+                )
+
     def test_wrapped_functions_carry_the_solver_marker(self):
         """Reverse direction of lint rule RPL007: registered ⇒ marked."""
         for spec in list_solvers():
