@@ -71,7 +71,6 @@ from .reporting import (
 )
 from .simulator import (
     CellularSimulator,
-    DeviceState,
     SimulationConfig,
     SimulationReport,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "CostAwarePager",
     "CellularSimulator",
     "ConferenceCallRequest",
-    "DeviceState",
     "DistanceReport",
     "Event",
     "EventEngine",

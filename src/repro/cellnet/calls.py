@@ -16,6 +16,7 @@ modes with a configurable party-size distribution:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,8 +49,8 @@ class PoissonConferenceCalls:
     rate:
         In ``bernoulli`` mode, the probability of an arrival in each time
         step (``0 <= rate <= 1``).  In ``poisson`` mode, the mean number
-        of arrivals per step (any ``rate >= 0`` — offered load above one
-        call per step is the point of the mode).
+        of arrivals per step (any finite ``rate >= 0`` — offered load
+        above one call per step is the point of the mode).
     num_devices:
         Pool of devices participants are drawn from.
     size_weights:
@@ -76,8 +77,8 @@ class PoissonConferenceCalls:
         if mode == "bernoulli":
             if not 0.0 <= rate <= 1.0:
                 raise SimulationError("rate must lie in [0, 1]")
-        elif rate < 0.0:
-            raise SimulationError("poisson rate must be non-negative")
+        elif not (math.isfinite(rate) and rate >= 0.0):
+            raise SimulationError("poisson rate must be finite and non-negative")
         if num_devices < 2:
             raise SimulationError("conference calls need at least 2 devices")
         self.mode = mode

@@ -10,7 +10,9 @@ paging optimizer exists to handle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -53,16 +55,30 @@ class RegistryRecord:
 
 @dataclass
 class LocationRegistry:
-    """Per-device location beliefs with update accounting."""
+    """Per-device location beliefs with update accounting.
+
+    Besides the records it keeps the set of devices whose record holds a
+    confirmed fix, so invalidating the fixes of a whole step's movers
+    touches only those devices (usually none).
+    """
 
     _records: Dict[int, RegistryRecord] = field(default_factory=dict)
     updates_processed: int = 0
+    _confirmed: Set[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._confirmed = {
+            device
+            for device, record in self._records.items()
+            if record.confirmed_cell is not None
+        }
 
     def register(self, device: int, area: int, cell: Optional[int], time: int) -> None:
         """Initial attach (power-on registration)."""
         self._records[device] = RegistryRecord(
             reported_area=area, reported_cell=cell, updated_at=time
         )
+        self._confirmed.discard(device)
 
     def report(self, device: int, area: int, cell: Optional[int], time: int) -> None:
         """A location update message arriving over a wireless link."""
@@ -71,6 +87,7 @@ class LocationRegistry:
         record.reported_cell = cell
         record.updated_at = time
         record.confirmed_cell = None
+        self._confirmed.discard(device)
         self.updates_processed += 1
 
     def confirm(self, device: int, cell: int, area: int, time: int) -> None:
@@ -80,11 +97,22 @@ class LocationRegistry:
         record.reported_cell = cell
         record.confirmed_cell = cell
         record.updated_at = time
+        self._confirmed.add(device)
 
-    def invalidate_confirmation(self, device: int) -> None:
-        """The device moved since the last confirmation; the fix is stale."""
-        record = self._require(device)
-        record.confirmed_cell = None
+    def invalidate_confirmation(self, devices: Union[int, Iterable[int]]) -> None:
+        """The devices moved since their last confirmation; the fixes are stale.
+
+        ``devices`` is one device id or many (a whole step's movers); only
+        those among them that hold a fix are touched.
+        """
+        if isinstance(devices, (int, np.integer)):
+            self._require(int(devices))
+            devices = (int(devices),)
+        if not self._confirmed:
+            return
+        for device in self._confirmed.intersection(np.asarray(devices).tolist()):
+            self._records[device].confirmed_cell = None
+            self._confirmed.discard(device)
 
     def lookup(self, device: int) -> RegistryRecord:
         """The system's current belief (raises for unknown devices)."""

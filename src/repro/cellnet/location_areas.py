@@ -10,7 +10,7 @@ index blocks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +35,10 @@ class LocationAreaPlan:
         if seen != set(range(num_cells)):
             raise SimulationError("location areas must cover every cell exactly once")
         self._areas = normalized
-        self._area_of: Dict[int, int] = {}
+        self._area_table = np.empty(num_cells, dtype=int)
         for index, area in enumerate(normalized):
-            for cell in area:
-                self._area_of[cell] = index
+            self._area_table[list(area)] = index
+        self._area_table.flags.writeable = False
 
     # ------------------------------------------------------------------
     @property
@@ -49,11 +49,16 @@ class LocationAreaPlan:
     def areas(self) -> Tuple[FrozenSet[int], ...]:
         return self._areas
 
+    @property
+    def area_table(self) -> np.ndarray:
+        """``area_table[cell] == area_of(cell)``: the cell-to-LA map as an array."""
+        return self._area_table
+
     def area_of(self, cell: int) -> int:
         """The LA id broadcast by the cell's base station."""
-        if cell not in self._area_of:
+        if not 0 <= cell < self._area_table.size:
             raise SimulationError(f"cell {cell} belongs to no location area")
-        return self._area_of[cell]
+        return self._area_table.item(cell)
 
     def cells_of(self, area: int) -> Tuple[int, ...]:
         """Cells of an LA, sorted (the candidate set for paging)."""

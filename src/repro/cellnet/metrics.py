@@ -96,8 +96,9 @@ class LinkUsageMetrics:
     #: page slots used on one cell in one round -> cell-round occurrences
     channel_occupancy: Dict[int, int] = field(default_factory=dict)
 
-    def record_report(self) -> None:
-        self.report_messages += 1
+    def record_report(self, count: int = 1) -> None:
+        """``count`` uplink location updates sent (one step's reporters)."""
+        self.report_messages += int(count)
 
     def record_registration(self) -> None:
         self.registration_messages += 1

@@ -41,12 +41,23 @@ which path ran.  Every other population (waypoint, gravity, mixed lists,
 subclasses, other bit generators) is stepped one device at a time.  The
 choice is made once, at construction, from those inputs alone
 (docs/performance.md, "Batched movement").
+
+Each device's state is an entry of arrays on the simulator: its cell, the
+cell it last reported, steps since that report, and the step its active
+call ends, next to the ``(devices, cells)`` visit counts.  Whichever path
+drew the moves, one array pass per step does the location bookkeeping:
+mid-call handovers confirm the new cell, every other mover loses its fix,
+the reporting policy decides every device at once on a
+:class:`~repro.cellnet.reporting.MoveContext` of arrays, and only the
+reporters reach the registry.  Under update loss the per-device loop
+draws each delivery right after that device's step, as the stream
+requires, and the pass applies what it recorded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,19 +220,6 @@ def _batched_walk_stays(
     return [model.stay_probability for model in models]
 
 
-@dataclass
-class DeviceState:
-    """The simulator's ground truth for one device."""
-
-    cell: int
-    model: MobilityModel
-    last_reported_cell: int
-    steps_since_report: int = 0
-    visit_counts: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: on an active call through this time step (exclusive); 0 = idle
-    busy_until: int = 0
-
-
 @dataclass(frozen=True)
 class SimulationReport:
     """Everything a run produced."""
@@ -329,30 +327,31 @@ class CellularSimulator:
             self._propagators = [None] * len(mobility_models)
 
         c = topology.num_cells
-        # One (devices, cells) array; each DeviceState holds a row view.
-        self._visit_counts = np.full(
-            (len(mobility_models), c), config.prior_smoothing, dtype=float
-        )
-        self._device_rows = np.arange(len(mobility_models))
+        n = len(mobility_models)
+        # The ground truth of every device, one array entry per device:
+        # where it is, where it last reported, steps since that report, and
+        # the step its active call ends (exclusive; 0 = idle).  Next to them
+        # the (devices, cells) visit counts the online priors learn from.
+        self._models = list(mobility_models)
+        self._device_rows = np.arange(n)
+        self._visit_counts = np.full((n, c), config.prior_smoothing, dtype=float)
         self._walk_stays = _batched_walk_stays(
             mobility_models, topology, rng, config.faults
         )
-        self._devices: List[DeviceState] = []
-        for index, model in enumerate(mobility_models):
+        cells: List[int] = []
+        for index in range(n):
             if initial_cells is not None:
                 cell = int(initial_cells[index])
             else:
                 cell = int(rng.integers(c))
-            state = DeviceState(
-                cell=cell,
-                model=model,
-                last_reported_cell=cell,
-                visit_counts=self._visit_counts[index],
-            )
-            state.visit_counts[cell] += 1.0
-            self._devices.append(state)
+            cells.append(cell)
+            self._visit_counts[index, cell] += 1.0
             self._registry.register(index, plan.area_of(cell), cell, time=0)
             self._metrics.record_registration()
+        self._cells = np.array(cells, dtype=int)
+        self._last_reported = self._cells.copy()
+        self._since_report = np.zeros(n, dtype=int)
+        self._busy_until = np.zeros(n, dtype=int)
 
     # ------------------------------------------------------------------
     def _build_policy(self) -> ReportingPolicy:
@@ -396,11 +395,8 @@ class CellularSimulator:
             # delivered reports the device is provably strictly inside the
             # ring; paging the boundary ring would be wasted bandwidth.  The
             # fallback sweep stays as the safety net under update loss.
-            return tuple(
-                cell
-                for cell in range(self._topology.num_cells)
-                if self._topology.hop_distance(record.reported_cell, cell) < radius
-            )
+            ring = self._topology.hop_distances[record.reported_cell] < radius
+            return tuple(np.flatnonzero(ring).tolist())
         # never / timer: no usable bound — the whole network is a candidate.
         return tuple(range(self._topology.num_cells))
 
@@ -419,60 +415,100 @@ class CellularSimulator:
                 return propagator.distribution(
                     record.reported_cell, max(0, record.age(time))
                 )
-        counts = self._devices[device].visit_counts
+        counts = self._visit_counts[device]
         return counts / counts.sum()
 
     # ------------------------------------------------------------------
-    def _step_movement(self, time: int) -> None:
-        devices = self._devices
+    def _step_devices(self, time: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Step every device's own model, one device after another.
+
+        Returns the new cells and, under update loss, which of this step's
+        location updates reach the registry.  Each device's
+        ``update_delivered`` draw follows its own step draw, so the loop
+        asks the policy about that one device right after moving it; the
+        array pass in :meth:`_step_movement` reaches the same decision and
+        applies the recorded delivery.
+        """
         rng = self._rng
-        moves: Optional[List[int]] = None
-        if self._walk_stays is not None:
-            moves = step_random_walks(
-                rng.bit_generator,
-                [state.cell for state in devices],
-                self._walk_stays,
-                self._topology.neighbor_table,
-            )
+        injector = self._injector
+        lossy = injector is not None and injector.model.update_loss > 0.0
+        delivered = np.ones(len(self._models), dtype=bool) if lossy else None
         new_cells: List[int] = []
-        for index, state in enumerate(devices):
-            old_cell = state.cell
-            if moves is None:
-                new_cell = state.model.step(old_cell, rng)
-            else:
-                new_cell = moves[index]
+        for index, (model, cell) in enumerate(zip(self._models, self._cells.tolist())):
+            new_cell = model.step(cell, rng)
             new_cells.append(new_cell)
-            state.cell = new_cell
-            state.steps_since_report += 1
-            if new_cell != old_cell:
-                if time < state.busy_until:
-                    # Mid-call handover: the base stations track the device,
-                    # so the system's fix stays exact (paper Section 1.1).
-                    self._registry.confirm(
-                        index, new_cell, self._plan.area_of(new_cell), time
-                    )
-                else:
-                    self._registry.invalidate_confirmation(index)
-            move = MoveContext(
-                index,
-                old_cell,
-                new_cell,
-                time,
-                state.last_reported_cell,
-                state.steps_since_report,
+            if lossy and self._policy.should_report(
+                MoveContext(
+                    index,
+                    cell,
+                    new_cell,
+                    time,
+                    int(self._last_reported[index]),
+                    int(self._since_report[index]) + 1,
+                )
+            ):
+                delivered[index] = injector.update_delivered(time)
+        return np.array(new_cells, dtype=int), delivered
+
+    def _step_movement(self, time: int) -> None:
+        """Move every device, then do one step's location bookkeeping.
+
+        The bookkeeping is one array pass, whichever path drew the moves:
+        mid-call handovers confirm the new cell, every other mover loses
+        its fix, the policy decides all reports at once, and the reporters'
+        updates reach the registry (unless lost under fault injection).
+        """
+        old = self._cells
+        delivered: Optional[np.ndarray] = None
+        if self._walk_stays is not None:
+            new = np.array(
+                step_random_walks(
+                    self._rng.bit_generator,
+                    old.tolist(),
+                    self._walk_stays,
+                    self._topology.neighbor_table,
+                ),
+                dtype=int,
             )
-            if self._policy.should_report(move):
-                # The device always pays the uplink message and believes it
-                # reported; under fault injection the message may be lost
-                # before the registry, whose belief then goes stale.
-                self._metrics.record_report()
-                state.last_reported_cell = new_cell
-                state.steps_since_report = 0
-                if self._injector is None or self._injector.update_delivered(time):
-                    self._registry.report(
-                        index, self._plan.area_of(new_cell), new_cell, time
-                    )
-        self._visit_counts[self._device_rows, new_cells] += 1.0
+        else:
+            new, delivered = self._step_devices(time)
+        self._since_report += 1
+        moved = new != old
+        busy = moved & (time < self._busy_until)
+        areas = self._plan.area_table
+        registry = self._registry
+        # Mid-call handover: the base stations track the device, so the
+        # system's fix stays exact (paper Section 1.1).
+        for device in np.flatnonzero(busy).tolist():
+            cell = int(new[device])
+            registry.confirm(device, cell, int(areas[cell]), time)
+        registry.invalidate_confirmation(np.flatnonzero(moved & ~busy))
+        reports = self._policy.should_report(
+            MoveContext(
+                self._device_rows,
+                old,
+                new,
+                time,
+                self._last_reported,
+                self._since_report,
+            )
+        )
+        reporters = np.flatnonzero(reports)
+        # The device always pays the uplink message and believes it
+        # reported; under fault injection the message may be lost before
+        # the registry, whose belief then goes stale.
+        self._metrics.record_report(reporters.size)
+        self._last_reported[reporters] = new[reporters]
+        self._since_report[reporters] = 0
+        if delivered is not None:
+            reporters = reporters[delivered[reporters]]
+        cells = new[reporters]
+        for device, cell, area in zip(
+            reporters.tolist(), cells.tolist(), areas[cells].tolist()
+        ):
+            registry.report(device, area, cell, time)
+        self._cells = new
+        self._visit_counts[self._device_rows, new] += 1.0
 
     def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
         participants = request.participants
@@ -487,7 +523,7 @@ class CellularSimulator:
             }
         )
         priors = [self._prior(device, request.time) for device in participants]
-        true_cells = [self._devices[device].cell for device in participants]
+        true_cells = [self._cells.item(device) for device in participants]
         if self._resilient is None:
             outcome = self._pager.search(
                 priors,
@@ -521,8 +557,8 @@ class CellularSimulator:
                 actual, cell, self._plan.area_of(cell), request.time
             )
             if duration:
-                self._devices[actual].busy_until = max(
-                    self._devices[actual].busy_until, request.time + duration
+                self._busy_until[actual] = max(
+                    self._busy_until[actual], request.time + duration
                 )
         self._metrics.record_call(
             CallRecord(
@@ -654,9 +690,7 @@ class CellularSimulator:
         )
         for local in sorted(call.found_cells):
             device = call.request.participants[local]
-            self._devices[device].busy_until = max(
-                self._devices[device].busy_until, time + duration
-            )
+            self._busy_until[device] = max(self._busy_until[device], time + duration)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationReport:
@@ -664,7 +698,7 @@ class CellularSimulator:
         with span(
             "cellnet.run",
             horizon=self._config.horizon,
-            devices=len(self._devices),
+            devices=len(self._models),
             cells=self._topology.num_cells,
             pager=self._config.pager,
             contention=self._config.contention_active,
@@ -676,7 +710,7 @@ class CellularSimulator:
         return SimulationReport(
             metrics=self._metrics,
             config=self._config,
-            num_devices=len(self._devices),
+            num_devices=len(self._models),
             num_cells=self._topology.num_cells,
         )
 
@@ -690,7 +724,7 @@ class CellularSimulator:
         return self._registry
 
     def device_cell(self, device: int) -> int:
-        return self._devices[device].cell
+        return self._cells.item(device)
 
     def estimated_prior(self, device: int, time: int = 0) -> np.ndarray:
         """The current belief (for estimation-quality checks).

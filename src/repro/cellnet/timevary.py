@@ -320,9 +320,7 @@ def distance_cycle(
     if threshold < 1:
         raise SimulationError("distance threshold must be at least 1")
     interior = tuple(
-        cell
-        for cell in range(topology.num_cells)
-        if topology.hop_distance(start_cell, cell) < threshold
+        np.flatnonzero(topology.hop_distances[start_cell] < threshold).tolist()
     )
     index_of = {cell: j for j, cell in enumerate(interior)}
     sub = propagator.matrix[np.ix_(interior, interior)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..errors import SimulationError
 from .geometry import Hex, hex_disk, hex_rectangle
@@ -42,7 +43,7 @@ class CellTopology:
             tuple(sorted(graph.neighbors(cell)))
             for cell in range(graph.number_of_nodes())
         )
-        self._distances: Optional[Dict[int, Dict[int, int]]] = None
+        self._hop_distances: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -68,14 +69,25 @@ class CellTopology:
             raise SimulationError(f"no position recorded for cell {cell}")
         return self._positions[cell]
 
+    @property
+    def hop_distances(self) -> np.ndarray:
+        """All-pairs hop counts as one ``(cells, cells)`` int array.
+
+        Built on first use and kept; ``hop_distances[a, b]`` equals
+        ``hop_distance(a, b)``, and a row compared against a threshold
+        gives a whole ring at once.
+        """
+        if self._hop_distances is None:
+            table = np.empty((self.num_cells, self.num_cells), dtype=int)
+            for source, lengths in nx.all_pairs_shortest_path_length(self._graph):
+                table[source, list(lengths)] = list(lengths.values())
+            table.flags.writeable = False
+            self._hop_distances = table
+        return self._hop_distances
+
     def hop_distance(self, source: int, target: int) -> int:
-        """Shortest-path hop count (all-pairs table computed lazily)."""
-        if self._distances is None:
-            self._distances = {
-                node: lengths
-                for node, lengths in nx.all_pairs_shortest_path_length(self._graph)
-            }
-        return self._distances[source][target]
+        """Shortest-path hop count (one entry of :attr:`hop_distances`)."""
+        return int(self.hop_distances[source, target])
 
     def shortest_path(self, source: int, target: int) -> List[int]:
         """One shortest path, endpoints included."""

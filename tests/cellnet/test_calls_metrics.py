@@ -84,6 +84,11 @@ class TestPoissonMode:
         with pytest.raises(SimulationError):
             PoissonConferenceCalls(-0.1, 5, mode="poisson")
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_poisson_rate_rejected_at_construction(self, rate):
+        with pytest.raises(SimulationError, match="finite"):
+            PoissonConferenceCalls(rate, 10, mode="poisson")
+
     def test_maybe_arrival_refused_in_poisson_mode(self, rng):
         process = PoissonConferenceCalls(0.5, 5, mode="poisson")
         with pytest.raises(SimulationError):

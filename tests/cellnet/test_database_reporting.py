@@ -1,5 +1,6 @@
 """Unit tests for the location registry and reporting policies."""
 
+import numpy as np
 import pytest
 
 from repro.cellnet import (
@@ -41,6 +42,26 @@ class TestRegistry:
         assert registry.lookup(0).confirmed_cell == 3
         registry.invalidate_confirmation(0)
         assert registry.lookup(0).confirmed_cell is None
+
+    def test_invalidate_many_touches_only_fixes(self):
+        registry = LocationRegistry()
+        for device in range(5):
+            registry.register(device, area=0, cell=device, time=0)
+        registry.confirm(1, cell=7, area=2, time=3)
+        registry.confirm(3, cell=8, area=2, time=3)
+        registry.invalidate_confirmation(np.array([0, 1, 2, 4]))
+        assert registry.lookup(1).confirmed_cell is None
+        assert registry.lookup(3).confirmed_cell == 8
+        # the rest of the record keeps the confirmed belief
+        assert (registry.lookup(1).reported_cell, registry.lookup(1).updated_at) == (7, 3)
+        registry.report(3, area=1, cell=4, time=5)
+        registry.invalidate_confirmation(np.arange(5))
+        assert all(registry.lookup(d).confirmed_cell is None for d in range(5))
+
+    def test_invalidate_unknown_device_rejected(self):
+        registry = LocationRegistry()
+        with pytest.raises(SimulationError, match="registered"):
+            registry.invalidate_confirmation(4)
 
     def test_unknown_device_rejected(self):
         registry = LocationRegistry()

@@ -39,6 +39,14 @@ class TestLookups:
         plan = LocationAreaPlan([[0], [1, 2, 3]], 4)
         assert plan.sizes() == (1, 3)
 
+    def test_area_table_matches_area_of(self):
+        topology = CellTopology.hexagonal_disk(3)
+        plan = LocationAreaPlan.by_bfs(topology, 5)
+        assert plan.area_table.tolist() == [
+            plan.area_of(cell) for cell in range(topology.num_cells)
+        ]
+        assert not plan.area_table.flags.writeable
+
     def test_unknown_cell_rejected(self):
         plan = LocationAreaPlan([[0]], 1)
         with pytest.raises(SimulationError):

@@ -74,6 +74,22 @@ class TestDistances:
             for target in range(topology.num_cells):
                 assert topology.hop_distance(source, target) == lengths[source][target]
 
+    @pytest.mark.parametrize(
+        "topology",
+        [CellTopology.hexagonal_disk(3), CellTopology.grid(3, 5), CellTopology.ring(7)],
+        ids=["disk", "grid", "ring"],
+    )
+    def test_hop_distance_table_matches_networkx(self, topology):
+        table = topology.hop_distances
+        assert table.shape == (topology.num_cells, topology.num_cells)
+        assert table.dtype.kind == "i"
+        assert not table.flags.writeable
+        assert table is topology.hop_distances  # built once
+        lengths = dict(nx.all_pairs_shortest_path_length(topology.graph))
+        for source in range(topology.num_cells):
+            for target in range(topology.num_cells):
+                assert table[source, target] == lengths[source][target]
+
     def test_shortest_path_endpoints(self):
         topology = CellTopology.line(6)
         path = topology.shortest_path(1, 4)
