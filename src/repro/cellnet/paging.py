@@ -68,31 +68,41 @@ class PagingOutcome:
         return not self.failed_devices
 
 
+#: Least mass a renormalized prior gives a candidate cell: rows stay strictly
+#: positive, as the optimizer assumes, when a prior misses a candidate cell.
+PRIOR_FLOOR = 1e-12
+
+
+def floor_and_renormalize(rows: np.ndarray) -> np.ndarray:
+    """Floor C-contiguous float64 ``rows`` and renormalize each, in place.
+
+    Cells are the last axis.  Over C-contiguous rows the sums round exactly
+    like a per-row ``sum()``; over a column-major gather they differ in the
+    last bit.
+    """
+    np.maximum(rows, PRIOR_FLOOR, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
+
+
 def build_sub_instance(
     priors: Sequence[np.ndarray],
     candidate_cells: Sequence[int],
     max_rounds: int,
-    *,
-    floor: float = 1e-12,
 ) -> Tuple[PagingInstance, Tuple[int, ...]]:
     """Restrict per-device priors to the candidate cells and renormalize.
 
     Returns the sub-instance plus the map from sub-index to global cell id.
-    ``floor`` keeps renormalized rows strictly positive so the optimizer's
-    model assumptions hold even when the prior gives a candidate cell zero
-    mass.
+    Rows are floored and renormalized by :func:`floor_and_renormalize`.
     """
     cells = tuple(int(cell) for cell in candidate_cells)
     if not cells:
         raise SimulationError("cannot page an empty candidate set")
     if not len(priors):
         raise InvalidInstanceError("instance needs at least one device and one cell")
-    # One gather of the candidate columns.  The row sums below must run over
-    # C-contiguous rows to round exactly like a per-row ``sum()``: over a
-    # column-major gather they differ in the last bit.
+    # One gather of the candidate columns, made C-contiguous for the sums.
     rows = np.ascontiguousarray(np.array(priors, dtype=np.float64).take(cells, axis=1))
-    np.maximum(rows, floor, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
+    floor_and_renormalize(rows)
     rows.setflags(write=False)
     d = max(1, min(int(max_rounds), len(cells)))
     return PagingInstance(rows, d, allow_zero=True), cells

@@ -510,12 +510,17 @@ class CellularSimulator:
         self._cells = new
         self._visit_counts[self._device_rows, new] += 1.0
 
-    def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
+    def _call_inputs(
+        self, request: ConferenceCallRequest
+    ) -> Tuple[List[int], List[np.ndarray]]:
+        """The sorted candidate union and the participants' priors.
+
+        The search space is the union of the per-device candidate sets: the
+        system must locate every participant, and Lemma 2.1's model treats
+        the union as one location area with per-device conditional priors.
+        """
         participants = request.participants
-        # The search space is the union of the per-device candidate sets: the
-        # system must locate every participant, and Lemma 2.1's model treats
-        # the union as one location area with per-device conditional priors.
-        candidate_union: List[int] = sorted(
+        candidate_union = sorted(
             {
                 cell
                 for device in participants
@@ -523,6 +528,11 @@ class CellularSimulator:
             }
         )
         priors = [self._prior(device, request.time) for device in participants]
+        return candidate_union, priors
+
+    def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
+        participants = request.participants
+        candidate_union, priors = self._call_inputs(request)
         true_cells = [self._cells.item(device) for device in participants]
         if self._resilient is None:
             outcome = self._pager.search(
@@ -660,15 +670,7 @@ class CellularSimulator:
     def _admit_call(self, request: ConferenceCallRequest) -> None:
         """Plan one arriving call and queue it on the shared channels."""
         assert self._scheduler is not None
-        participants = request.participants
-        candidate_union = sorted(
-            {
-                cell
-                for device in participants
-                for cell in self._candidate_cells(device, request.time)
-            }
-        )
-        priors = [self._prior(device, request.time) for device in participants]
+        candidate_union, priors = self._call_inputs(request)
         rounds = self._config.max_paging_rounds
         if self._recovery is not None:
             rounds = self._recovery.planning_rounds(rounds)

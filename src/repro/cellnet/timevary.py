@@ -19,8 +19,8 @@ feeds it back into the paper's machinery:
 * :func:`evaluate_registration` — the per-device cost of a registration
   policy (timer period or distance threshold) under *re-planned* paging:
   every reachable report age gets its own conditional prior and its own
-  Fig. 1 plan, batched through the solver registry's ``run_batch`` entry
-  (``repro.core.batch_plan``) when the planner supports it.
+  Fig. 1 plan; the priors of one candidate-set size are planned as one
+  array by the ``heuristic`` solver's ``run_batch`` entry.
 * :func:`hmy_fixed_point` — the Hajek–Mitzel–Yang iteration (PAPERS.md:
   *Paging and Registration in Cellular Networks: Jointly Optimal Policies
   and an Iterative Algorithm*): alternate the paging best response (re-plan
@@ -45,20 +45,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.instance import PagingInstance
 from ..errors import SimulationError
 from ..obs.instrument import count, span
 from ..solvers import get_solver
 from .mobility import GravityMobility, MobilityModel, RandomWalk
+from .paging import floor_and_renormalize
 from .topology import CellTopology
 
 #: Registration policy families the joint iteration optimizes over.
 REGISTRATION_KINDS: Tuple[str, ...] = ("timer", "distance")
-
-#: Mass floor used when renormalizing conditional priors (matches
-#: :func:`repro.cellnet.paging.build_sub_instance`).
-_PRIOR_FLOOR = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Transition matrices
@@ -319,6 +314,8 @@ def distance_cycle(
     """
     if threshold < 1:
         raise SimulationError("distance threshold must be at least 1")
+    if max_age < 0:
+        raise SimulationError(f"max_age must be non-negative, got {max_age}")
     interior = tuple(
         np.flatnonzero(topology.hop_distances[start_cell] < threshold).tolist()
     )
@@ -389,49 +386,36 @@ class PolicyEvaluation:
     #: expected cells paged by the re-planned strategy at a random call
     paging_per_call: float
     combined_cost: float
-    #: conditional-prior instances planned (across start cells and ages)
+    #: conditional priors planned (across start cells and ages)
     plans: int
-    #: True when at least one ``run_batch`` call served the planning
-    batched: bool
-
-
-def _conditional_instance(
-    conditional: np.ndarray, max_rounds: int
-) -> PagingInstance:
-    """A single-device instance over candidate cells, floored like paging."""
-    row = np.maximum(conditional, _PRIOR_FLOOR)
-    row = row / row.sum()
-    d = max(1, min(int(max_rounds), row.shape[0]))
-    return PagingInstance([row.tolist()], d, allow_zero=True)
 
 
 def _plan_expected_paging(
-    instances: Sequence[PagingInstance], planner_name: str
-) -> Tuple[List[float], bool]:
-    """Expected paging of the planner on each instance, batched when possible.
+    cycles: Sequence[RegistrationCycle], max_rounds: int
+) -> List[np.ndarray]:
+    """The heuristic's expected paging at every age of every cycle.
 
-    Same-shape instances go through the solver's ``run_batch`` entry in one
-    kernel call (PR 7's batched Fig. 1 pipeline); solvers without a batch
-    adapter fall back to a per-instance loop with identical values.
+    The conditionals of all cycles with the same number of candidate cells
+    form one C-contiguous ``(rows, 1, cells)`` stack, floored like the
+    simulator's paging priors and planned by one ``run_batch`` call.
+    Returns one array of values per cycle, in age order.
     """
-    planner = get_solver(planner_name)
-    values: List[Optional[float]] = [None] * len(instances)
+    planner = get_solver("heuristic")
     by_cells: Dict[int, List[int]] = {}
-    for index, instance in enumerate(instances):
-        by_cells.setdefault(instance.num_cells, []).append(index)
-    used_batch = False
-    for indices in by_cells.values():
-        rounds = {instances[i].max_rounds for i in indices}
-        if planner.supports_batch and len(indices) > 1 and len(rounds) == 1:
-            batch = planner.run_batch([instances[i] for i in indices])
-            for row, index in enumerate(indices):
-                values[index] = float(batch.values[row])
-            used_batch = True
-        else:
-            for index in indices:
-                values[index] = float(planner(instances[index]).expected_paging)
-    count("timevary.replans", len(instances))
-    return [float(v) for v in values], used_batch
+    for index, cycle in enumerate(cycles):
+        by_cells.setdefault(len(cycle.candidate_cells), []).append(index)
+    values: List[np.ndarray] = [np.empty(0)] * len(cycles)
+    for cells, indices in by_cells.items():
+        rows = np.array(
+            [row for i in indices for row in cycles[i].conditionals],
+            dtype=np.float64,
+        )
+        stack = floor_and_renormalize(rows).reshape(len(rows), 1, cells)
+        planned = planner.run_batch(stack, max_rounds=min(max_rounds, cells))
+        splits = np.cumsum([len(cycles[i].conditionals) for i in indices])
+        for index, part in zip(indices, np.split(planned.values, splits[:-1])):
+            values[index] = part
+    return values
 
 
 def evaluate_registration(
@@ -443,7 +427,6 @@ def evaluate_registration(
     max_rounds: int,
     call_rate: float,
     report_cost: float = 1.0,
-    planner: str = "heuristic",
     start_cells: Optional[Sequence[int]] = None,
     start_weights: Optional[Sequence[float]] = None,
     max_age: int = 512,
@@ -454,18 +437,28 @@ def evaluate_registration(
     Report locations are weighted by ``start_weights`` (default: the
     stationary distribution of ``matrix``, restricted to ``start_cells``
     when given).  For every start cell and reachable report age, the
-    conditional prior is planned through the solver registry and scored by
-    the planner's own expected paging; ages of one cycle are averaged by
-    their renewal weights, starts by their weights.
+    conditional prior is planned by the Fig. 1 heuristic and scored by its
+    own expected paging; ages of one cycle are averaged by their renewal
+    weights, starts by their weights.
     """
-    if call_rate < 0:
-        raise SimulationError("call_rate must be non-negative")
-    if report_cost < 0:
-        raise SimulationError("report_cost must be non-negative")
+    if max_rounds < 1:
+        raise SimulationError(f"max_rounds must be at least 1, got {max_rounds}")
+    for name, rate in (("call_rate", call_rate), ("report_cost", report_cost)):
+        if not (np.isfinite(rate) and rate >= 0):
+            raise SimulationError(f"{name} must be finite and non-negative, got {rate}")
     propagator = BeliefPropagator(matrix)
+    if propagator.num_cells != topology.num_cells:
+        raise SimulationError(
+            f"transition matrix covers {propagator.num_cells} cells, "
+            f"the topology {topology.num_cells}"
+        )
     if start_cells is None:
         start_cells = tuple(range(topology.num_cells))
     starts = tuple(int(cell) for cell in start_cells)
+    if not all(0 <= cell < topology.num_cells for cell in starts):
+        raise SimulationError(
+            f"start cells must lie in 0..{topology.num_cells - 1}, got {list(starts)}"
+        )
     if start_weights is None:
         stationary = stationary_from_matrix(matrix)
         weights = np.array([stationary[cell] for cell in starts])
@@ -473,8 +466,8 @@ def evaluate_registration(
         weights = np.asarray(list(start_weights), dtype=float)
         if weights.shape != (len(starts),):
             raise SimulationError("need one start weight per start cell")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise SimulationError("start weights must be non-negative and non-zero")
+    if not (np.all(np.isfinite(weights) & (weights >= 0)) and weights.sum() > 0):
+        raise SimulationError("start weights must be finite, non-negative and non-zero")
     weights = weights / weights.sum()
 
     with span(
@@ -492,23 +485,15 @@ def evaluate_registration(
             )
             for cell in starts
         ]
-        instances: List[PagingInstance] = []
-        spans_per_cycle: List[Tuple[int, int]] = []
-        for cycle in cycles:
-            first = len(instances)
-            for conditional in cycle.conditionals:
-                instances.append(_conditional_instance(conditional, max_rounds))
-            spans_per_cycle.append((first, len(instances)))
-        values, batched = _plan_expected_paging(instances, planner)
+        values = _plan_expected_paging(cycles, int(max_rounds))
+        plans = sum(len(cycle.ages) for cycle in cycles)
+        count("timevary.replans", plans)
         paging = 0.0
         report_rate = 0.0
-        for weight, cycle, (first, last) in zip(weights, cycles, spans_per_cycle):
+        for weight, cycle, cycle_values in zip(weights, cycles, values):
             age_weights = np.asarray(cycle.age_weights)
             age_share = age_weights / age_weights.sum()
-            cycle_paging = float(
-                np.dot(age_share, np.asarray(values[first:last]))
-            )
-            paging += float(weight) * cycle_paging
+            paging += float(weight) * float(np.dot(age_share, cycle_values))
             report_rate += float(weight) * cycle.report_rate
     combined = report_cost * report_rate + call_rate * paging
     return PolicyEvaluation(
@@ -517,8 +502,7 @@ def evaluate_registration(
         report_rate=report_rate,
         paging_per_call=paging,
         combined_cost=combined,
-        plans=len(instances),
-        batched=batched,
+        plans=plans,
     )
 
 
@@ -561,7 +545,6 @@ def hmy_fixed_point(
     max_rounds: int,
     call_rate: float,
     report_cost: float = 1.0,
-    planner: str = "heuristic",
     start_cells: Optional[Sequence[int]] = None,
     max_iterations: int = 8,
     max_age: int = 512,
@@ -594,7 +577,6 @@ def hmy_fixed_point(
             max_rounds=max_rounds,
             call_rate=call_rate,
             report_cost=report_cost,
-            planner=planner,
             start_cells=start_cells,
             max_age=max_age,
             tol=tol,

@@ -380,12 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="uplink cost of one location update, relative to one page",
     )
     timevary.add_argument(
-        "--planner",
-        default="heuristic",
-        metavar="NAME",
-        help="registry solver that re-plans paging from conditional priors",
-    )
-    timevary.add_argument(
         "--samples",
         type=int,
         default=20_000,
@@ -815,6 +809,7 @@ def _command_timevary(args: argparse.Namespace) -> int:
         hmy_fixed_point,
         transition_matrix,
     )
+    from .errors import SimulationError
 
     topology = CellTopology.hexagonal_disk(args.radius)
     rng = np.random.default_rng(args.seed)
@@ -839,16 +834,18 @@ def _command_timevary(args: argparse.Namespace) -> int:
         candidates = [2, 5, 10, 20]
     else:
         candidates = [1, 2, 3, 4]
-    result = hmy_fixed_point(
-        topology,
-        matrix,
-        kind=args.kind,
-        candidates=candidates,
-        max_rounds=args.rounds,
-        call_rate=args.call_rate,
-        report_cost=args.report_cost,
-        planner=args.planner,
-    )
+    try:
+        result = hmy_fixed_point(
+            topology,
+            matrix,
+            kind=args.kind,
+            candidates=candidates,
+            max_rounds=args.rounds,
+            call_rate=args.call_rate,
+            report_cost=args.report_cost,
+        )
+    except SimulationError as error:
+        raise SystemExit(str(error))
     print(
         f"network: {topology.num_cells} cells  mobility: {args.model}  "
         f"policy: {args.kind} over {candidates}"

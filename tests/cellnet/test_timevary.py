@@ -2,28 +2,31 @@
 
 The module's promises, machine-checked: analytic transition matrices match
 long empirical traces, matrix-power propagation matches brute-force matrix
-powers, registration cycles conserve probability, policy evaluation batches
-through the solver registry without changing the answer, and the HMY
+powers, registration cycles conserve probability, policy evaluation on
+stacked priors equals planning each prior alone bit for bit, bad inputs
+raise ``SimulationError``, and the HMY
 alternation produces a monotone non-increasing cost trajectory that reaches
 a fixed point.
 """
 
-import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
 
-from repro.cellnet import timevary
 from repro.cellnet import (
     BeliefPropagator,
     CellTopology,
     GravityMobility,
     RandomWalk,
     RandomWaypoint,
+    build_sub_instance,
     distance_cycle,
     empirical_transition_matrix,
     evaluate_registration,
     gravity_transition_matrix,
+    hex_disk,
     hmy_fixed_point,
     random_walk_transition_matrix,
     registration_cycle,
@@ -32,6 +35,7 @@ from repro.cellnet import (
     transition_matrix,
     validate_transition_matrix,
 )
+from repro.core import PagingInstance
 from repro.errors import SimulationError
 from repro.solvers import get_solver
 
@@ -207,26 +211,74 @@ class TestRegistrationCycles:
             distance_cycle(propagator, topology, 0, 0)
 
 
+def _relabelled_disk(seed):
+    """``hexagonal_disk(2)`` with its cells relabelled by a seeded permutation."""
+    hexes = hex_disk(2)
+    order = np.random.default_rng(seed).permutation(len(hexes))
+    return CellTopology.from_hexes([hexes[int(i)] for i in order])
+
+
+def _per_instance_evaluation(topology, matrix, kind, threshold, max_rounds, call_rate):
+    """Reference: one floored ``PagingInstance`` per conditional, planned alone.
+
+    Each conditional is floored at 1e-12 and renormalized with a per-row
+    ``sum()``, then planned by a scalar ``heuristic`` call; ages and starts
+    are averaged in the same order as ``evaluate_registration``.
+    """
+    planner = get_solver("heuristic")
+    propagator = BeliefPropagator(matrix)
+    stationary = stationary_from_matrix(matrix)
+    weights = np.array([stationary[cell] for cell in range(topology.num_cells)])
+    weights = weights / weights.sum()
+    paging = 0.0
+    report_rate = 0.0
+    plans = 0
+    for weight, start in zip(weights, range(topology.num_cells)):
+        cycle = registration_cycle(
+            propagator, topology, start, kind=kind, threshold=threshold
+        )
+        values = []
+        for conditional in cycle.conditionals:
+            row = np.maximum(conditional, 1e-12)
+            row = row / row.sum()
+            rounds = min(max_rounds, row.shape[0])
+            instance = PagingInstance([row.tolist()], rounds, allow_zero=True)
+            values.append(planner(instance).expected_paging)
+        plans += len(values)
+        age_weights = np.asarray(cycle.age_weights)
+        age_share = age_weights / age_weights.sum()
+        paging += float(weight) * float(np.dot(age_share, np.asarray(values)))
+        report_rate += float(weight) * cycle.report_rate
+    return paging, 1.0 * report_rate + call_rate * paging, plans
+
+
 class TestEvaluateRegistration:
-    def test_batched_and_loop_planners_agree(self, topology, monkeypatch):
-        matrix = random_walk_transition_matrix(RandomWalk(topology), topology)
-        batched = evaluate_registration(
-            topology, matrix, kind="timer", threshold=5, max_rounds=3,
-            call_rate=0.1, planner="heuristic",
+    @pytest.mark.parametrize("relabel", [None, 11])
+    @pytest.mark.parametrize(
+        "kind, threshold",
+        [("timer", 2), ("timer", 5), ("distance", 1), ("distance", 2)],
+    )
+    def test_stacked_plans_equal_per_instance_plans(
+        self, backend, relabel, kind, threshold
+    ):
+        """The stacked path is bit-identical to planning each prior alone."""
+        topology = (
+            CellTopology.hexagonal_disk(2) if relabel is None
+            else _relabelled_disk(relabel)
         )
-        # The same entry without its batch adapter takes the per-instance loop.
-        scalar_only = dataclasses.replace(
-            get_solver("heuristic"), batch_adapter=None
+        matrix = random_walk_transition_matrix(
+            RandomWalk(topology, stay_probability=0.4), topology
         )
-        monkeypatch.setattr(timevary, "get_solver", lambda name: scalar_only)
-        loop = evaluate_registration(
-            topology, matrix, kind="timer", threshold=5, max_rounds=3,
-            call_rate=0.1, planner="heuristic",
+        evaluation = evaluate_registration(
+            topology, matrix, kind=kind, threshold=threshold, max_rounds=3,
+            call_rate=0.1,
         )
-        assert batched.batched
-        assert not loop.batched
-        assert batched.combined_cost == pytest.approx(loop.combined_cost)
-        assert batched.plans == loop.plans
+        paging, combined, plans = _per_instance_evaluation(
+            topology, matrix, kind, threshold, 3, 0.1
+        )
+        assert evaluation.paging_per_call == paging
+        assert evaluation.combined_cost == combined
+        assert evaluation.plans == plans
 
     def test_cost_decomposition(self, topology):
         matrix = random_walk_transition_matrix(RandomWalk(topology), topology)
@@ -322,3 +374,81 @@ class TestHMYIteration:
                 topology, matrix, kind="timer", candidates=[2, 2],
                 max_rounds=3, call_rate=0.1,
             )
+
+
+def _evaluate(topology, matrix, **overrides):
+    options = dict(kind="timer", threshold=2, max_rounds=3, call_rate=0.1)
+    options.update(overrides)
+    return evaluate_registration(topology, matrix, **options)
+
+
+def _fixed_point(topology, matrix, **overrides):
+    options = dict(kind="timer", candidates=[1, 2], max_rounds=3, call_rate=0.1)
+    options.update(overrides)
+    return hmy_fixed_point(topology, matrix, **options)
+
+
+class TestRejectsBadInputs:
+    """Bad inputs raise ``SimulationError`` instead of a wrong or NaN cost."""
+
+    @pytest.fixture
+    def matrix(self, topology):
+        return random_walk_transition_matrix(RandomWalk(topology), topology)
+
+    @pytest.mark.parametrize("entry", [_evaluate, _fixed_point])
+    @pytest.mark.parametrize("max_rounds", [0, -5])
+    def test_max_rounds_below_one(self, topology, matrix, entry, max_rounds):
+        with pytest.raises(SimulationError, match="max_rounds"):
+            entry(topology, matrix, max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("entry", [_evaluate, _fixed_point])
+    @pytest.mark.parametrize("name", ["call_rate", "report_cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_rates_must_be_finite_and_non_negative(
+        self, topology, matrix, entry, name, value
+    ):
+        with pytest.raises(SimulationError, match=name):
+            entry(topology, matrix, **{name: value})
+
+    @pytest.mark.parametrize("entry", [_evaluate, _fixed_point])
+    @pytest.mark.parametrize("kind", ["timer", "distance"])
+    @pytest.mark.parametrize("cell", [-1, 99])
+    def test_start_cells_outside_the_network(
+        self, topology, matrix, entry, kind, cell
+    ):
+        with pytest.raises(SimulationError, match="start cells"):
+            entry(topology, matrix, kind=kind, start_cells=[cell])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_start_weights_must_be_finite(self, topology, matrix, weight):
+        with pytest.raises(SimulationError, match="start weights"):
+            _evaluate(
+                topology, matrix, start_cells=[0, 1], start_weights=[1.0, weight]
+            )
+
+    @pytest.mark.parametrize("entry", [_evaluate, _fixed_point])
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_matrix_must_cover_the_topology(self, topology, entry, radius):
+        other = CellTopology.hexagonal_disk(radius)
+        matrix = random_walk_transition_matrix(RandomWalk(other), other)
+        with pytest.raises(SimulationError, match="transition matrix covers"):
+            entry(topology, matrix, kind="distance")
+
+    def test_max_age_must_be_non_negative(self, topology, matrix):
+        with pytest.raises(SimulationError, match="max_age"):
+            _evaluate(topology, matrix, kind="distance", max_age=-1)
+
+    def test_one_round_is_still_accepted(self, topology, matrix):
+        one = _evaluate(topology, matrix, max_rounds=1)
+        assert one.paging_per_call == pytest.approx(topology.num_cells)
+
+
+class TestNoCallerChoice:
+    """The HMY path always plans with ``heuristic`` and one prior floor."""
+
+    def test_hmy_path_takes_no_planner(self):
+        for function in (evaluate_registration, hmy_fixed_point):
+            assert "planner" not in inspect.signature(function).parameters
+
+    def test_sub_instances_take_no_floor(self):
+        assert "floor" not in inspect.signature(build_sub_instance).parameters

@@ -192,6 +192,27 @@ class TestServeBench:
             main(["serve-bench", "--hot-fraction", "2.0"])
 
 
+class TestTimevary:
+    def test_fixed_point_line(self, capsys):
+        assert main(["timevary", "--radius", "2"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "fixed point: timer threshold 5 at combined cost 0.592020 (converged)"
+            in out.splitlines()
+        )
+
+    def test_zero_rounds_exit_with_the_message(self):
+        with pytest.raises(SystemExit, match="max_rounds must be at least 1") as exit:
+            main(["timevary", "--radius", "2", "--rounds", "0"])
+        assert exit.value.code != 0
+
+    def test_planner_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["timevary", "--radius", "2", "--planner", "heuristic"])
+        assert exit.value.code == 2
+        assert "--planner" in capsys.readouterr().err
+
+
 class TestCommandSurface:
     """README table, --help epilog, and the parser must agree."""
 
