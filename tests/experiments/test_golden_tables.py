@@ -1,0 +1,163 @@
+"""Golden pins for every experiment table.
+
+Each deterministic table is pinned by two sha256 digests at default
+parameters: ``RENDERED`` hashes ``render()``, the text ``repro experiments``
+prints, and ``ROWS`` hashes ``repr`` of the raw rows, so a value that moves
+only in the last bit (below the four printed digits) breaks it too.  The
+digests were recorded on the runner that still had a process pool,
+checkpoints and retries, so they show that cutting it to a serial loop
+moved no table.  E28's two digests are the ones recorded before its
+conditional priors were planned as stacked arrays.
+
+E7 and E27 time their own work, and E27's note names the planner backend.
+``TIMED`` pins their id, title and columns and only the columns that do not
+depend on the clock; E27 must also report ``identical`` on every row.
+
+``SEEDED`` pins one ``seed=`` run: each rng-accepting experiment receives
+``spawn_task_seed(seed, index)`` for its position in the selection, and
+E11b and E24 sit at non-zero positions whose seeding shows in the table.
+
+Every table runs once per planner backend and is shared by its tests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.experiments import EXPERIMENTS, render_all, run_experiments
+
+RENDERED = {
+    "E1": "743d9cfcbb2670ab714adc843a79b1a81f008482ae13e3601f993d2bb2021009",
+    "E2": "17df28abd95b51378c64855178b1f4ba8673752710839784cf6b5d3452668c86",
+    "E3": "4f8d7b9ea8fcc17beadadffb8783ab79ccd308479c33d43f96c58ebb4e1466f3",
+    "E4": "c58fd4f594a64834a6f4951977af3c658e5ad90e31b313815d681105875883e8",
+    "E5": "7eedb51406fbef2cd9eaf9f4c96f89e27ebe61da2bce6dc9648a8dcd637b6f88",
+    "E6": "8c314eac483eabb4e2d19ca12f5a2cb17700525d5a2c37411617f997f0208160",
+    "E6b": "a6e881d420096288b4c0f51e4cb015bb463167730b381d8edf1bb1367c3b3716",
+    "E8": "78285eeee8ecc7b9429cfc5e9a89faea27754c5ba79ae9b6274be814fddcc2eb",
+    "E9": "5c3b407f022ab3a60593e633c8a978a5022e3bf205138eb395277c799126e666",
+    "E10": "57dd59dfb9d9ca06bcabd3e4738c4ee819e9b1ce5b3c688a0c7a8b0877a0a13b",
+    "E11a": "3fd033234d9a26e873f4615cec0646300c75e17b8cc607620e0508f819d87f7b",
+    "E11b": "1fb8ae05a55ac2f831978a41e0efa1014f9e9632763910a01b0fb4dc3b1fcce3",
+    "E12": "d55681661cb7c44c77dc058fc771e566ea1790fffb037e2816c37e259c108255",
+    "E13": "90ce242f633f4843158678201bd789d268da2271a982b112cd3010b1cfe7feed",
+    "E13b": "23b09b2687ee3ed830993bbe4f9259249a6a6f3959499983953905c8e6f8a92c",
+    "E14": "aaed3d40030a486fe63b1f3d63aac303bdd18d8ff72bb39876c632224abe6ffb",
+    "E15": "4e977b5cc9fb0fdcbcd60b88922801243b5aab5f1e66aff66e9d48f45f3bec8e",
+    "E16": "d0de01ac1a6f5a2b984930316e2d08fe68769286b149ac030c468d712188c5c9",
+    "E17": "7f1dbee4fa6be417e8b63bad4d5544ca8c40cd85500fedf0fcc708634060ee6e",
+    "E18": "686b374b592b4a4104d096e027e027414c893a6e7233c9d5487be497569c7ebe",
+    "E19": "f1750958d71df49440c3d04d25ef5c932fe17ad1175b834a9473e44675cd4141",
+    "E20": "6f9e871d54e4b5fa21d79a3d2ef3f318d44f150bf4476929ea2012fea0a4de57",
+    "E21": "8675ab258059c8c6fe37a5da23497c87f83137fd2d3d248223de24ff80b0c36f",
+    "E23": "d973dddda39cdb8e88674ce010b14f4528d2f9c4d5fba6b29cdbbcfe5524fc6e",
+    "E24": "ada0eea139267e5efa90c532fac6e3fdb09e4b3331dfe8988bbdf8a7c9d0d0ad",
+    "E25": "11e03c9451050960be614c768a90eeded6218a683910f8939af3486f55b8bdc5",
+    "E26": "a62f0d7ca32ad120034c4167cc873cd044941344fdf46dc1f0e2b0632b8083d6",
+    "E28": "0741e2c8e304896d3670966b3962253e2916f41e6922da39cf0c769d1c8ffbf8",
+    "E29": "be1d3d5c1dca4040ca7ffc9fbf3a0b168aae12fe82b166794be90f8525c7a7f1",
+}
+ROWS = {
+    "E1": "9e0fab98de3ea0ec69f28366e22b22c2ef53d444f362113bb83a54b62229c0de",
+    "E2": "1573c08b30d84f9a2862621fbd22eec93173bc61b845cac7fd385b6b1810547c",
+    "E3": "b73f8b630ec9554d20aeeff3ac6351c8b0b399889f9719eebd9eaeb0651c08f6",
+    "E4": "f8b93d78ed6bc64c8106888eda0a8ee33479568c2184482b6f0ff0dd4c181275",
+    "E5": "ffed0dc8ac8fc6a5e26880c977d0583a08d51356402ca3a82d3b6b4d187f7a95",
+    "E6": "ba8f509d3dfb72d8920bdb6b04bccf9153095bd0ee50952132bb937c3e4e1c64",
+    "E6b": "039d0d6523c01230d779de9949338bd425d9c57560f1dc024d12d936e750d5c5",
+    "E8": "1901d0078f927f18dedd8a83798cc7a87a77bf5e9023e5aef067b33c54109287",
+    "E9": "20b15fcaef143a8597d0b92cede5f1aa528d1bcf689e9fe838c5aed6cc9266fa",
+    "E10": "2a7962ab11bb91ab32eabc5364a034d1395ec04228d3a035ef5f5dbceb5088ec",
+    "E11a": "b40a466f3db168e44860291a140ecad94b6160fc42fcfb7b04c90b67ed758c56",
+    "E11b": "ed3563a310806de821bbe7ef63f53ac99a2f1eb1594043a285a4520ba4f27262",
+    "E12": "ff738e03f87d96dd0a936a8dfd8ac8c0f4bcbdcf899e80fc1964db054db51d29",
+    "E13": "b1d9fb0155bc3ed2157993ecdc979b7576816aca4007d2775b51824aa0e78efc",
+    "E13b": "da97d6f263562153dbc85340e4acfd963b868e11f24f611b2398830adad1d4dc",
+    "E14": "9213787b7aa43adf9922230a39028f33f518887bdd7d09fa52560bc4ccfcca4d",
+    "E15": "1ea47a345433c0bea690c6d8d16f85eeea2dda89c8e9033b0cd0e03523a1065e",
+    "E16": "1141459059df48d31634d6f66cef4371ce93394b3170774c177d9861d94a820d",
+    "E17": "9f9474633e3fd431a5cc51c39a9493f2385b2119f05d9f1e51960ce21c81b6bf",
+    "E18": "8365cd63055c7c8c4b513fbfad71419545ece7617d6d42151ab0d931975f0c3d",
+    "E19": "63cdb9e407ee016f2e18ef65c3b78ba8c6d2a18f926e05ca003c8300f789fdce",
+    "E20": "cd5cf38953b7c43d4804bb19e6cb5973b3ca9da1478f9de5167302ab2e197ad0",
+    "E21": "bee6a2d6df96122ed42e122fe08cee1b46dbe1ee1192d2088096f674efa8a479",
+    "E23": "c9bb88baf24a5fd0d6d2581939ca6713e57d9862e19647fcccb49ea1ea1a2b08",
+    "E24": "08014bfad214c3ef851eff3a2d69224cedcf806b36332163742445131aef18a1",
+    "E25": "9d98135a0ca70e1d416196e936a246d4244d4debc44ce0f6b58c4c7892a1c792",
+    "E26": "ebcb0e59f8a86825a9c41f9832a89108e627e74a92b9fcf2e07d611a50fa95bc",
+    "E28": "0d2eb9c9a812d28d179cb9476c834b28064a9780d4a5f909f5fceb5c3ad7c0e4",
+    "E29": "a2ea2621c29ec046a1548277b04d36916d8b5fef1822842f430205eaa5e63303",
+}
+
+#: Non-timing columns and the digest of ``repr((id, title, columns, rows))``
+#: with every row cut down to those columns.
+TIMED = {
+    "E7": (
+        ("c", "m", "d", "work_term"),
+        "53ebe03dcdaae54fc9dfdf4e201a3150ab81faa48248c8ecaad78b4fdc700847",
+    ),
+    "E27": (
+        ("batch", "identical"),
+        "4196ed5c17992b12e9afc249797b2040ef09dc75675da1ba5aab3bf7dc95b862",
+    ),
+}
+
+SEEDED_SELECTION = ["E1", "E8", "E11b", "E24"]
+SEEDED_RENDERED = "b81f108fab85e97ec973d96e323af93b21eadb59cc5f0c93e922ea39f8870d78"
+SEEDED_ROWS = "d1561b163fc4455bc534e6669faa25dba5efb431aceca344027b1b5e994ab967"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """Tables already run in this module, keyed by ``(backend, id)``."""
+    return {}
+
+
+def _table(tables, backend, name):
+    if (backend, name) not in tables:
+        tables[backend, name] = EXPERIMENTS[name]()
+    return tables[backend, name]
+
+
+def test_every_experiment_is_pinned():
+    assert not set(RENDERED) & set(TIMED)
+    assert set(RENDERED) == set(ROWS)
+    assert set(RENDERED) | set(TIMED) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", list(RENDERED))
+def test_rendered_table(backend, tables, name):
+    assert _digest(_table(tables, backend, name).render()) == RENDERED[name]
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_raw_rows(backend, tables, name):
+    assert _digest(repr(_table(tables, backend, name).rows)) == ROWS[name]
+
+
+@pytest.mark.parametrize("name", list(TIMED))
+def test_timed_table_shape(backend, tables, name):
+    table = _table(tables, backend, name)
+    kept, expected = TIMED[name]
+    indices = [list(table.columns).index(column) for column in kept]
+    rows = [tuple(row[i] for i in indices) for row in table.rows]
+    shape = (table.experiment_id, table.title, tuple(table.columns), rows)
+    assert _digest(repr(shape)) == expected
+
+
+def test_batched_replanning_is_identical_on_every_row(backend, tables):
+    identical = _table(tables, backend, "E27").column("identical")
+    assert all(value is True for value in identical)
+
+
+def test_seeded_run(backend):
+    seeded = run_experiments(SEEDED_SELECTION, seed=99)
+    assert [table.experiment_id for table in seeded] == SEEDED_SELECTION
+    assert _digest(render_all(seeded)) == SEEDED_RENDERED
+    assert _digest(repr([table.rows for table in seeded])) == SEEDED_ROWS
