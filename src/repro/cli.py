@@ -10,8 +10,8 @@ The commands cover the library's workflows:
   flags, approximation factor, and paper anchor per entry.
 * ``repro simulate`` — run the cellular-network simulation and print the
   link-usage summary.
-* ``repro experiments`` — regenerate experiment tables (all or by id),
-  optionally fanned out over worker processes with ``--jobs``.
+* ``repro experiments`` — regenerate experiment tables (all or by id, one
+  after another), or list the known ids with ``--list``.
 * ``repro gadget`` — run the Lemma 3.2 NP-hardness reduction on a list of
   sizes and report whether the optimum hits the lower bound.
 * ``repro lint`` — domain-aware static analysis (exact-arithmetic,
@@ -49,7 +49,7 @@ COMMAND_SUMMARY: "dict[str, str]" = {
     "solve": "run any registered solver on a JSON instance by name",
     "solvers": "list the solver registry (kind, capabilities, factor)",
     "simulate": "run the cellular-network simulation (optionally with faults)",
-    "experiments": "regenerate experiment tables (--jobs N, --checkpoint/--resume)",
+    "experiments": "regenerate experiment tables (all or by id; --list)",
     "gadget": "run the Lemma 3.2 NP-hardness reduction",
     "render": "ASCII map of a network's areas or a plan",
     "lint": "domain-aware static analysis (RPL001-RPL010, --deep dataflow)",
@@ -231,34 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--list", action="store_true", help="list known experiment ids and exit"
-    )
-    experiments.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial; output is byte-identical "
-        "either way)",
-    )
-    experiments.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="persist each finished table to DIR (manifest + per-task files) "
-        "so an interrupted run can be resumed",
-    )
-    experiments.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse completed tables from --checkpoint DIR and run only "
-        "what is missing (byte-identical to an uninterrupted run)",
-    )
-    experiments.add_argument(
-        "--task-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="automatic in-process retries of failed tasks/workers",
     )
 
     gadget = commands.add_parser(
@@ -670,20 +642,9 @@ def _command_experiments(args: argparse.Namespace) -> int:
     from .experiments import EXPERIMENTS, main as run
 
     if args.list:
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-    if args.resume and args.checkpoint is None:
-        raise SystemExit("--resume requires --checkpoint DIR")
-    print(
-        run(
-            args.ids or None,
-            jobs=args.jobs,
-            checkpoint_dir=args.checkpoint,
-            resume=args.resume,
-            task_retries=args.task_retries,
-        )
-    )
+        print("\n".join(EXPERIMENTS))
+    else:
+        print(run(args.ids or None))
     return 0
 
 

@@ -38,7 +38,6 @@ from .paper_claims import (
     run_e16_four_thirds,
 )
 from .runner import (
-    CHECKPOINT_SCHEMA,
     EXPERIMENTS,
     lint_attestation,
     main,
@@ -58,7 +57,6 @@ from .system import (
 from .tables import ExperimentTable, render_all
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
     "EXPERIMENTS",
     "ExperimentTable",
     "heuristic_workload",

@@ -4,26 +4,22 @@
 the per-table functions are also what the benchmark suite calls, so the
 printed report and the benchmark assertions always agree.
 
-Experiments are independent, so :func:`run_experiments` can fan them out
-over a process pool (``jobs=N``, the CLI's ``--jobs/-j``).  Determinism is
-preserved in both modes:
-
-* every experiment seeds its own generator internally (or receives a
-  deterministically spawned child of ``seed`` when one is given), and
-* results are collected in the selection order, never completion order,
-
-so a parallel run renders byte-identically to a serial one.
+:func:`run_experiments` is a serial loop over the selection: each
+experiment runs in its own ``experiments.<id>`` span and the tables come
+back in selection order.  Every experiment seeds its own generator
+internally; ``seed=`` instead hands each rng-accepting experiment the
+child of ``np.random.SeedSequence(seed)`` numbered by its position in the
+selection (:func:`spawn_task_seed`), so a seeded run is reproducible.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs import JsonlSink, Tracer, current_tracer, load_events, use_tracer
+from ..obs import JsonlSink, Tracer, current_tracer, use_tracer
 
 from .advanced import (
     run_e19_adaptivity_gap,
@@ -121,7 +117,7 @@ def spawn_task_seed(seed: int, index: int) -> np.random.SeedSequence:
     (``spawn(n)`` numbers children ``spawn_key=(0,) .. (n-1,)``), but builds
     the one child directly instead of materializing ``index + 1`` of them —
     the old scheme was O(n²) SeedSequence constructions across a run.
-    ``tests/experiments/test_checkpoint.py`` pins byte-identical child
+    ``tests/experiments/test_runner.py`` pins byte-identical child
     states against the legacy spelling.
     """
     return np.random.SeedSequence(seed, spawn_key=(index,))
@@ -137,305 +133,27 @@ def _run_one(name: str, seed: Optional[int], index: int) -> ExperimentTable:
         return function()
 
 
-def _execute_experiment(
-    task: Tuple[str, Optional[int], int, Optional[str]]
-) -> ExperimentTable:
-    """Run one experiment; the process-pool (and serial) task body.
-
-    ``task`` is ``(name, seed, index, trace_path)``.  When ``seed`` is
-    given, the experiment receives a generator built from the ``index``-th
-    child of ``np.random.SeedSequence(seed)`` — the same child in serial and
-    parallel runs, and independent of scheduling order.  When ``trace_path``
-    is given the task installs its own JSONL tracer writing there — worker
-    processes cannot share the parent's sink, so each writes a private file
-    that :func:`run_experiments` merges on collect.
-    """
-    name, seed, index, trace_path = task
-    if trace_path is None:
-        return _run_one(name, seed, index)
-    with use_tracer(Tracer(JsonlSink(trace_path))):
-        return _run_one(name, seed, index)
-
-
-#: Manifest schema tag for checkpoint directories (``--checkpoint``).
-CHECKPOINT_SCHEMA = "repro-checkpoint/1"
-
-
-def _execute_with_retries(
-    task: Tuple[str, Optional[int], int, Optional[str]], retries: int
-) -> ExperimentTable:
-    """Run one task in-process, retrying up to ``retries`` extra attempts.
-
-    Experiments seed themselves deterministically per task, so a retry of a
-    transiently failed worker reproduces the exact table a clean first run
-    would have produced.
-    """
-    attempts_left = max(0, retries)
-    while True:
-        try:
-            return _execute_experiment(task)
-        except Exception:
-            if attempts_left <= 0:
-                raise
-            attempts_left -= 1
-            current_tracer().count("runner.task_retries")
-
-
-def _warn_serial_fallback(reason: BaseException) -> None:
-    """Make ``-j N`` degradation visible: a warning plus an obs counter."""
-    warnings.warn(
-        "experiment process pool unavailable "
-        f"({type(reason).__name__}: {reason}); falling back to serial "
-        "execution — tables are identical but -j parallelism is lost",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    current_tracer().count("runner.serial_fallback")
-
-
-def _task_filename(index: int, name: str) -> str:
-    return f"task-{index:03d}-{name}.pkl"
-
-
-def _write_manifest(
-    directory: str,
-    names: Sequence[str],
-    seed: Optional[int],
-    completed_files: Dict[int, str],
-) -> None:
-    """Atomically (re)write the checkpoint manifest."""
-    import json
-    import os
-
-    payload = {
-        "schema": CHECKPOINT_SCHEMA,
-        "names": list(names),
-        "seed": seed,
-        "completed": {
-            str(index): completed_files[index] for index in sorted(completed_files)
-        },
-    }
-    path = os.path.join(directory, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(
-    directory: str, names: Sequence[str], seed: Optional[int]
-) -> Dict[int, ExperimentTable]:
-    """Load completed tables from a checkpoint directory, validating fit.
-
-    The manifest must describe the *same* invocation (experiment selection
-    and seed); resuming a checkpoint written for a different run would
-    silently mix incompatible tables, so that is an error rather than a
-    best-effort merge.  Task files named by the manifest but missing on
-    disk are simply re-run.
-    """
-    import json
-    import os
-    import pickle
-
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(
-            f"cannot resume: no checkpoint manifest at {manifest_path}"
-        )
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    if manifest.get("schema") != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"checkpoint manifest {manifest_path} has schema "
-            f"{manifest.get('schema')!r}; expected {CHECKPOINT_SCHEMA!r}"
-        )
-    if manifest.get("names") != list(names) or manifest.get("seed") != seed:
-        raise ValueError(
-            "checkpoint manifest does not match this invocation (experiment "
-            "selection or seed differ); use a fresh --checkpoint directory"
-        )
-    completed: Dict[int, ExperimentTable] = {}
-    for key, filename in manifest.get("completed", {}).items():
-        path = os.path.join(directory, filename)
-        if not os.path.exists(path):
-            continue
-        with open(path, "rb") as handle:
-            completed[int(key)] = pickle.load(handle)
-    return completed
-
-
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     *,
-    jobs: Optional[int] = 1,
     seed: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    task_retries: int = 1,
 ) -> List[ExperimentTable]:
-    """Run the named experiments (all of them by default).
+    """Run the named experiments (all of them by default), one after another.
 
-    ``jobs`` fans the experiments out over a ``ProcessPoolExecutor``
-    (``None`` means one worker per CPU).  Output order always matches the
-    selection order, and each task's seeding is deterministic, so
-    ``jobs=N`` renders byte-identically to the serial run.  When the
-    platform cannot provide a process pool the runner falls back to serial
-    execution, emitting a ``RuntimeWarning`` and bumping the
-    ``runner.serial_fallback`` obs counter so the degradation is visible.
-
-    ``seed`` optionally rebases every rng-accepting experiment on a
-    deterministically spawned child of ``np.random.SeedSequence(seed)``
-    (:func:`spawn_task_seed`); by default each experiment keeps its own
-    fixed internal seed.
-
-    ``checkpoint_dir`` persists each completed task as a pickle next to a
-    ``manifest.json`` (schema ``repro-checkpoint/1``) as soon as it
-    finishes, so a crashed run loses at most the in-flight tasks.
-    ``resume=True`` loads completed tables from that directory — after
-    validating that the manifest describes the same selection and seed —
-    and runs only what is missing; a resumed run renders byte-identically
-    to an uninterrupted one.  ``task_retries`` bounds automatic in-process
-    retries of failed tasks/workers (counted on ``runner.task_retries``).
+    Tables are returned in selection order; an unknown name raises
+    ``KeyError`` before anything runs.  ``seed`` optionally rebases every
+    rng-accepting experiment on ``spawn_task_seed(seed, index)``, where
+    ``index`` is its position in the selection; by default each experiment
+    keeps its own fixed internal seed.
 
     When a tracer is active (``repro --trace`` / :func:`repro.obs.tracing`)
-    every experiment runs inside an ``experiments.<id>`` span.  Parallel
-    workers cannot reach the parent's sink, so each task writes a private
-    JSONL file which is merged back into the active tracer after collection
-    — the merged trace is independent of scheduling order because counters
-    and histograms are commutative aggregates and spans carry their ids.
+    every experiment runs inside an ``experiments.<id>`` span.
     """
     selected = list(EXPERIMENTS) if names is None else list(names)
     for name in selected:
         if name not in EXPERIMENTS:
             raise KeyError(f"unknown experiment {name!r}; known: {list(EXPERIMENTS)}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be a positive worker count or None, got {jobs}")
-    if task_retries < 0:
-        raise ValueError(f"task_retries must be non-negative, got {task_retries}")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
-
-    tracer = current_tracer()
-    results: Dict[int, ExperimentTable] = {}
-    completed_files: Dict[int, str] = {}
-    if checkpoint_dir is not None:
-        import os
-
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        if resume:
-            results = _load_checkpoint(checkpoint_dir, selected, seed)
-            completed_files = {
-                index: _task_filename(index, selected[index]) for index in results
-            }
-            if results:
-                tracer.count("runner.tasks_resumed", len(results))
-        _write_manifest(checkpoint_dir, selected, seed, completed_files)
-
-    serial = jobs == 1 or len(selected) - len(results) <= 1
-    trace_dir: Optional[str] = None
-    if tracer.enabled and not serial:
-        import tempfile
-
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
-    tasks = [
-        (
-            name,
-            seed,
-            index,
-            None if trace_dir is None else f"{trace_dir}/task-{index}.jsonl",
-        )
-        for index, name in enumerate(selected)
-        if index not in results
-    ]
-
-    def record(index: int, table: ExperimentTable) -> None:
-        results[index] = table
-        if checkpoint_dir is not None:
-            import os
-            import pickle
-
-            filename = _task_filename(index, selected[index])
-            tmp = os.path.join(checkpoint_dir, filename + ".tmp")
-            with open(tmp, "wb") as handle:
-                pickle.dump(table, handle)
-            os.replace(tmp, os.path.join(checkpoint_dir, filename))
-            completed_files[index] = filename
-            _write_manifest(checkpoint_dir, selected, seed, completed_files)
-
-    def run_serially(remaining: Sequence[Tuple[str, Optional[int], int, Optional[str]]]) -> None:
-        for task in remaining:
-            if task[2] not in results:
-                record(task[2], _execute_with_retries(task, task_retries))
-
-    try:
-        if serial:
-            run_serially(tasks)
-        else:
-            try:
-                from concurrent.futures import ProcessPoolExecutor, as_completed
-                from concurrent.futures.process import BrokenProcessPool
-            except ImportError as error:  # pragma: no cover - always bundled
-                _warn_serial_fallback(error)
-                run_serially(tasks)
-            else:
-                try:
-                    workers = jobs if jobs is not None else None
-                    if workers is not None:
-                        workers = min(workers, len(tasks))
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        futures = {
-                            pool.submit(_execute_experiment, task): task
-                            for task in tasks
-                        }
-                        for future in as_completed(futures):
-                            task = futures[future]
-                            error = future.exception()
-                            if error is None:
-                                record(task[2], future.result())
-                            elif isinstance(error, BrokenProcessPool):
-                                raise error
-                            elif task_retries < 1:
-                                raise error
-                            else:
-                                # The worker died or the experiment raised:
-                                # rerun in-process (deterministic per-task
-                                # seeding makes the retry reproduce exactly
-                                # what a clean first run would have built).
-                                tracer.count("runner.task_retries")
-                                record(
-                                    task[2],
-                                    _execute_with_retries(task, task_retries - 1),
-                                )
-                except (NotImplementedError, OSError, PermissionError,
-                        BrokenProcessPool) as error:
-                    # Sandboxed/embedded interpreters may not allow worker
-                    # processes; the serial path produces identical tables.
-                    _warn_serial_fallback(error)
-                    run_serially(tasks)
-    finally:
-        if trace_dir is not None:
-            _merge_worker_traces(tracer, tasks, trace_dir)
-    return [results[index] for index in range(len(selected))]
-
-
-def _merge_worker_traces(
-    tracer: "Tracer",
-    tasks: Sequence[Tuple[str, Optional[int], int, Optional[str]]],
-    trace_dir: str,
-) -> None:
-    """Fold per-worker trace files back into the parent tracer, then clean up."""
-    import os
-    import shutil
-
-    try:
-        for _name, _seed, _index, trace_path in tasks:
-            if trace_path is None or not os.path.exists(trace_path):
-                continue
-            for event in load_events(trace_path):
-                tracer.absorb(event)
-    finally:
-        shutil.rmtree(trace_dir, ignore_errors=True)
+    return [_run_one(name, seed, index) for index, name in enumerate(selected)]
 
 
 def lint_attestation(
@@ -482,7 +200,6 @@ def save_report(
     names: Optional[Sequence[str]] = None,
     lint_targets: Optional[Sequence[str]] = ("src", "tests", "benchmarks", "scripts"),
     *,
-    jobs: Optional[int] = 1,
     trace: bool = True,
 ) -> List[str]:
     """Run experiments and persist each table as ``.txt`` and ``.csv``.
@@ -504,10 +221,10 @@ def save_report(
     if trace:
         trace_path = os.path.join(directory, "trace.jsonl")
         with use_tracer(Tracer(JsonlSink(trace_path))):
-            tables = run_experiments(names, jobs=jobs)
+            tables = run_experiments(names)
         written.append(trace_path)
     else:
-        tables = run_experiments(names, jobs=jobs)
+        tables = run_experiments(names)
     for table in tables:
         stem = os.path.join(directory, table.experiment_id.lower())
         with open(stem + ".txt", "w") as handle:
@@ -524,23 +241,9 @@ def save_report(
     return written
 
 
-def main(
-    names: Optional[Sequence[str]] = None,
-    *,
-    jobs: Optional[int] = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    task_retries: int = 1,
-) -> str:
+def main(names: Optional[Sequence[str]] = None) -> str:
     """Render the selected experiments as one report string."""
-    tables = run_experiments(
-        names,
-        jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        task_retries=task_retries,
-    )
-    return render_all(tables)
+    return render_all(run_experiments(names))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

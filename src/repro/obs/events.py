@@ -129,28 +129,6 @@ class Tracer:
         if self.enabled:
             self.sink.write(event)
 
-    # -- merging -------------------------------------------------------
-    def absorb(self, event: Dict[str, object]) -> None:
-        """Fold one event from another trace into this tracer.
-
-        Spans pass through; counters and histograms merge into this
-        tracer's aggregates; ``meta`` headers are dropped.  This is how the
-        parallel experiment runner folds per-worker trace files back into
-        the parent's sink.
-        """
-        if not self.enabled:
-            return
-        kind = event.get("event")
-        if kind == "counter":
-            self.count(str(event.get("name")), int(event.get("value", 0)))
-        elif kind == "histogram":
-            counts = event.get("counts")
-            if isinstance(counts, dict):
-                for value, count in counts.items():
-                    self.observe(str(event.get("name")), int(value), int(count))
-        elif kind == "span":
-            self.sink.write(event)
-
     # -- lifecycle -----------------------------------------------------
     def flush(self) -> None:
         """Emit aggregated counters/histograms and flush the sink."""

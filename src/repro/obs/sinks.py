@@ -10,8 +10,7 @@ A sink receives finished event dictionaries (the ``repro-trace/1`` schema of
   programmatic consumers use.
 * :class:`JsonlSink` — appends one JSON object per line to a file (the
   ``trace.jsonl`` format the CLI's ``--trace`` flag and ``repro trace``
-  read).  Worker processes of the parallel experiment runner each write
-  their own file, merged on collect (:mod:`repro.experiments.runner`).
+  read).
 """
 
 from __future__ import annotations

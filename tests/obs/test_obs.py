@@ -100,27 +100,6 @@ class TestTracer:
         tracer.flush()
         tracer.close()  # must not raise
 
-    def test_absorb_merges_commutatively(self):
-        sink = MemorySink()
-        tracer = Tracer(sink)
-        worker_events = [
-            {"event": "meta", "schema": SCHEMA, "created": "x"},
-            {"event": "span", "name": "w", "elapsed_s": 0.5, "attrs": {}},
-            {"event": "counter", "name": "calls", "value": 2},
-            {"event": "histogram", "name": "rounds", "counts": {"2": 5}},
-        ]
-        tracer.count("calls", 1)
-        tracer.observe("rounds", 2)
-        for event in worker_events:
-            tracer.absorb(event)
-        tracer.flush()
-        summary = summarize(sink.events)
-        assert summary.counters["calls"] == 3
-        assert summary.histograms["rounds"] == {2: 6}
-        assert summary.spans["w"].count == 1
-        # worker meta headers are dropped, not duplicated
-        assert sum(1 for e in sink.events if e["event"] == "meta") == 1
-
 
 class TestActiveTracer:
     def test_default_is_disabled(self):

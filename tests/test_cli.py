@@ -100,6 +100,22 @@ class TestExperiments:
         with pytest.raises(KeyError):
             main(["experiments", "E999"])
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--jobs", "2"],
+            ["-j", "2"],
+            ["--checkpoint", "d"],
+            ["--resume"],
+            ["--task-retries", "1"],
+        ],
+    )
+    def test_runner_options_are_gone(self, option, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["experiments", "E1", *option])
+        assert exit.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
 
 class TestRender:
     def test_location_area_map(self, capsys):
