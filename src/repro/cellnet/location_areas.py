@@ -35,6 +35,7 @@ class LocationAreaPlan:
         if seen != set(range(num_cells)):
             raise SimulationError("location areas must cover every cell exactly once")
         self._areas = normalized
+        self._sorted_cells = tuple(tuple(sorted(area)) for area in normalized)
         self._area_table = np.empty(num_cells, dtype=int)
         for index, area in enumerate(normalized):
             self._area_table[list(area)] = index
@@ -62,7 +63,7 @@ class LocationAreaPlan:
 
     def cells_of(self, area: int) -> Tuple[int, ...]:
         """Cells of an LA, sorted (the candidate set for paging)."""
-        return tuple(sorted(self._areas[area]))
+        return self._sorted_cells[area]
 
     def crosses_boundary(self, old_cell: int, new_cell: int) -> bool:
         """Whether a move triggers a GSM-style location update."""

@@ -21,6 +21,7 @@ Long runs can opt out of the unbounded per-call record list with
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -146,10 +147,16 @@ class LinkUsageMetrics:
         self.deferred_steps += 1
 
     def record_occupancy(self, slots_used: Sequence[int]) -> None:
-        """Fold one round's per-cell slot usage into the histogram."""
-        for used in slots_used:
+        """Fold one round's per-cell slot usage into the histogram.
+
+        One counting pass over the round; new keys enter the histogram in
+        the order they first appear in ``slots_used``, as a per-cell loop
+        would insert them.
+        """
+        occupancy = self.channel_occupancy
+        for used, cells in Counter(slots_used).items():
             key = int(used)
-            self.channel_occupancy[key] = self.channel_occupancy.get(key, 0) + 1
+            occupancy[key] = occupancy.get(key, 0) + cells
 
     # ------------------------------------------------------------------
     @property

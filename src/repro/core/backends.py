@@ -13,11 +13,13 @@ the Fig. 1 heuristic:
   kernel source or the machine code it would produce changes.
 
 The machine picks the backend, not the caller: the planner always asks
-``resolve_backend("auto")``, which prefers the compiled kernel and silently
-falls back to numpy when no toolchain (or no cache directory) is available,
-bumping the ``planner.backend_fallback`` obs counter so the degradation is
-observable.  ``resolve_backend("compiled")`` raises instead of degrading,
-for a check that must know the kernel loads.
+:func:`auto_kernel` (what ``resolve_backend("auto")`` names), which prefers
+the compiled kernel and silently falls back to numpy when no toolchain (or
+no cache directory) is available, bumping the ``planner.backend_fallback``
+obs counter so the degradation is observable.  It reads the environment
+once per call, so a planner call resolves its backend with one read.
+``resolve_backend("compiled")`` raises instead of degrading, for a check
+that must know the kernel loads.
 
 Environment (tested in ``tests/core/test_backends.py``):
 
@@ -50,6 +52,7 @@ from ..obs.instrument import count
 __all__ = [
     "BACKENDS",
     "BackendUnavailableError",
+    "auto_kernel",
     "available_backends",
     "compiled_available",
     "load_compiled",
@@ -197,6 +200,22 @@ def load_compiled() -> ctypes.CDLL:
     return _lib
 
 
+def auto_kernel() -> Optional[ctypes.CDLL]:
+    """The kernel ``"auto"`` runs: the compiled library, or None for numpy.
+
+    Reads ``REPRO_DISABLE_COMPILED`` once, before the per-process memo, so
+    setting it inside a process still switches the next call to numpy.  A
+    fallback bumps the ``planner.backend_fallback`` obs counter.
+    """
+    if _lib is not None and not os.environ.get("REPRO_DISABLE_COMPILED"):
+        return _lib
+    try:
+        return load_compiled()
+    except BackendUnavailableError:
+        count("planner.backend_fallback")
+        return None
+
+
 def compiled_available() -> bool:
     """True when :func:`load_compiled` would succeed right now."""
     try:
@@ -224,10 +243,7 @@ def resolve_backend(backend: str = "auto") -> str:
     kernel cannot load.
     """
     if backend == "auto":
-        if compiled_available():
-            return "compiled"
-        count("planner.backend_fallback")
-        return "numpy"
+        return "numpy" if auto_kernel() is None else "compiled"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown planner backend {backend!r}; known: auto, "

@@ -38,15 +38,16 @@ would.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import InfeasibleError
 from ..obs.instrument import observe, span
-from .backends import load_compiled, resolve_backend
+from .backends import auto_kernel
 from .dp import OrderedDPResult
 from .instance import PagingInstance
 from .strategy import Strategy
@@ -57,6 +58,9 @@ from .strategy import Strategy
 #: fixed chunk of 64 is ~3x slower than this bound at c = 250 and the
 #: bound is within noise of the best fixed chunk at c = 40 and c = 120.
 _CHUNK_TARGET_BYTES = 3 << 19  # 1.5 MB
+
+#: Bytes per ``intp`` slot of the compiled kernel's outputs.
+_INTP_SIZE = np.dtype(np.intp).itemsize
 
 #: Chunk ceiling; beyond this the per-chunk numpy call overhead is already
 #: negligible and bigger tensors only evict cache.
@@ -224,23 +228,50 @@ def _cut_dp_numpy(
     return sizes, values, feasible
 
 
+def _output_buffer(
+    batch: int, widths: Tuple[int, ...]
+) -> "tuple[list[int], list[np.ndarray]]":
+    """One kernel output buffer, carved into the arrays the kernel fills.
+
+    Returns the kernel's output addresses and arrays, in its argument
+    order: a C-contiguous ``(batch, width)`` ``intp`` block per entry of
+    ``widths``, the ``(batch,)`` float64 values and the ``(batch,)``
+    feasible flags.  The kernel writes each flag as a 0/1 byte, which
+    reads as numpy ``bool`` without a copy.  The addresses are offsets
+    from one lookup, read through ctypes' buffer interface: an array's
+    ``.ctypes.data`` builds a helper object and costs a few times more.
+    """
+    # The intp blocks fill whole 8-byte words, so the values stay aligned.
+    words = -(-batch * sum(widths) * _INTP_SIZE // 8)
+    out = np.empty(max(1, words + batch + -(-batch // 8)), dtype=np.float64)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    addresses = []
+    arrays = []
+    offset = 0
+    for width in widths:
+        addresses.append(base + offset)
+        arrays.append(np.ndarray((batch, width), np.intp, out, offset))
+        offset += batch * width * _INTP_SIZE
+    offset = 8 * words
+    addresses += [base + offset, base + offset + 8 * batch]
+    arrays += [
+        np.ndarray((batch,), np.float64, out, offset),
+        np.ndarray((batch,), np.bool_, out, offset + 8 * batch),
+    ]
+    return addresses, arrays
+
+
 def _cut_dp_compiled(
-    finds: np.ndarray, c: int, d: int, b: int
+    lib: Any, finds: np.ndarray, c: int, d: int, b: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Dispatch the cut DP to the C kernel (``repro_optimize_cuts_batch``)."""
-    lib = load_compiled()
-    batch = finds.shape[0]
-    finds = np.ascontiguousarray(finds, dtype=np.float64)
-    sizes = np.empty((batch, d), dtype=np.intp)
-    values = np.empty(batch, dtype=np.float64)
-    feasible = np.empty(batch, dtype=np.uint8)
+    addresses, (sizes, values, feasible) = _output_buffer(finds.shape[0], (d,))
     status = lib.repro_optimize_cuts_batch(
-        finds.ctypes.data, batch, c, d, b,
-        sizes.ctypes.data, values.ctypes.data, feasible.ctypes.data,
+        finds.ctypes.data, finds.shape[0], c, d, b, *addresses
     )
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")
-    return sizes, values, feasible.astype(bool)
+    return sizes, values, feasible
 
 
 def _cut_dp_chunked(
@@ -287,8 +318,9 @@ def optimize_cuts_batch(
     c = finds.shape[1] - 1
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    if resolve_backend() == "compiled":
-        sizes, values, _feasible = _cut_dp_compiled(finds, c, d, b)
+    lib = auto_kernel()
+    if lib is not None:
+        sizes, values, _feasible = _cut_dp_compiled(lib, finds, c, d, b)
     else:
         sizes, values, _feasible = _cut_dp_chunked(finds, c, d, b)
     return sizes, values
@@ -333,22 +365,17 @@ def plan_batch(
     batch, m, c = stacked.shape
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    chosen = resolve_backend()
+    lib = auto_kernel()
+    chosen = "numpy" if lib is None else "compiled"
     with span(
         "planner.batch", backend=chosen, batch=batch, cells=c, devices=m, rounds=d
     ):
         observe("planner.batch_size", batch)
-        if chosen == "compiled":
-            orders, sizes, values, feasible = _plan_compiled(stacked, d, b)
+        if lib is not None:
+            orders, sizes, values, feasible = _plan_compiled(lib, stacked, d, b)
         else:
             orders, sizes, values, feasible = _plan_numpy(stacked, d, b)
-    return BatchPlanResult(
-        orders=orders,
-        group_sizes=sizes,
-        values=values,
-        feasible=feasible,
-        backend=chosen,
-    )
+    return BatchPlanResult(orders, sizes, values, feasible, chosen)
 
 
 def _plan_numpy(
@@ -367,20 +394,12 @@ def _plan_numpy(
 
 
 def _plan_compiled(
-    stacked: np.ndarray, d: int, b: int
+    lib: Any, stacked: np.ndarray, d: int, b: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Full pipeline on the C kernel (``repro_plan_batch``)."""
-    lib = load_compiled()
     batch, m, c = stacked.shape
-    orders = np.empty((batch, c), dtype=np.intp)
-    sizes = np.empty((batch, d), dtype=np.intp)
-    values = np.empty(batch, dtype=np.float64)
-    feasible = np.empty(batch, dtype=np.uint8)
-    status = lib.repro_plan_batch(
-        stacked.ctypes.data, batch, m, c, d, b,
-        orders.ctypes.data, sizes.ctypes.data, values.ctypes.data,
-        feasible.ctypes.data,
-    )
+    addresses, (orders, sizes, values, feasible) = _output_buffer(batch, (c, d))
+    status = lib.repro_plan_batch(stacked.ctypes.data, batch, m, c, d, b, *addresses)
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")
-    return orders, sizes, values, feasible.astype(bool)
+    return orders, sizes, values, feasible

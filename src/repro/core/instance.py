@@ -109,7 +109,8 @@ class PagingInstance:
         num_devices, num_cells = matrix.shape
         if not num_devices or not num_cells:
             raise InvalidInstanceError("instance needs at least one device and one cell")
-        if matrix.flags.writeable or not matrix.flags.c_contiguous:
+        flags = matrix.flags
+        if flags.writeable or not flags.c_contiguous:
             matrix = matrix.copy()
             matrix.setflags(write=False)
         self._rows = None
@@ -121,6 +122,14 @@ class PagingInstance:
             return
         self._validate_rounds()
         sums = matrix.sum(axis=1)
+        # Accept a valid matrix in two reductions: a NaN fails both tests
+        # and an infinite entry misses its row sum.  Anything else takes the
+        # full check below, which finds and reports the first bad row.
+        lowest = matrix.min()
+        if (lowest > 0 or (allow_zero and lowest == 0)) and all(
+            abs(total - 1.0) <= FLOAT_ROW_TOLERANCE for total in sums.tolist()
+        ):
+            return
         bad_sum = np.abs(sums - 1.0) > FLOAT_ROW_TOLERANCE
         bad_entry = ~np.isfinite(matrix) | (matrix < 0)
         if not allow_zero:

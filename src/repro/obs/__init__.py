@@ -3,7 +3,7 @@
 Structured events (spans, counters, histograms), pluggable sinks, and a
 trace-file report, threaded through the planners, batch kernels, experiment
 runner, and cellular simulator.  See docs/observability.md for the event
-schema, sink selection, and the measured (≤ 5%) null-sink overhead.
+schema, sink selection, and the measured null-sink overhead.
 
 Typical use::
 

@@ -21,10 +21,14 @@ Monte-Carlo run writes one histogram event, not 100k).
 
 A :class:`Tracer` wraps a sink (:mod:`repro.obs.sinks`).  The *active*
 tracer is thread-local; instrumented code asks :func:`current_tracer` and
-checks ``tracer.enabled`` before building any event, so the default
-:class:`~repro.obs.sinks.NullSink` configuration costs one attribute lookup
-per instrumentation site (measured ≤ 5% with the retired snapshot harness
-behind ``BENCH_0.json``, see docs/performance.md).
+checks ``tracer.enabled`` before building any event.  A thread with no
+tracer installed reads a class-level default, the disabled tracer, so in
+the default :class:`~repro.obs.sinks.NullSink` configuration a
+:func:`current_tracer` site costs a thread-local attribute read and one
+branch.  The helpers of :mod:`repro.obs.instrument` first read a global
+count of installed enabled tracers, so while no thread traces a disabled
+:func:`~repro.obs.instrument.count` runs within 2x of an empty
+two-argument function (docs/performance.md, "Observability overhead").
 """
 
 from __future__ import annotations
@@ -160,34 +164,54 @@ class Tracer:
 #: The process-wide fallback: tracing disabled.
 _NULL_TRACER = Tracer(NullSink())
 
-_ACTIVE = threading.local()
+class _Local(threading.local):
+    """Per-thread tracer slot.
+
+    The class-level default means a thread that never installed a tracer
+    reads the disabled one as a plain attribute, instead of raising and
+    catching an ``AttributeError`` on every lookup.
+    """
+
+    tracer: Tracer = _NULL_TRACER
+
+
+_ACTIVE = _Local()
+
+#: ``[n]``: how many enabled tracers are installed, over all threads.  While
+#: ``n`` is 0 no thread traces, so the helpers of :mod:`repro.obs.instrument`
+#: return after one global read.  A thread that exits with a tracer installed
+#: leaves ``n`` above 0; the helpers then read the thread-local slot, which is
+#: slower but still right.
+_LIVE = [0]
+_LIVE_LOCK = threading.Lock()
+
+
+def _install(tracer: Tracer) -> Tracer:
+    """Make ``tracer`` this thread's active tracer; return the one it replaced."""
+    previous = _ACTIVE.tracer
+    with _LIVE_LOCK:
+        _LIVE[0] += int(tracer.enabled) - int(previous.enabled)
+        _ACTIVE.tracer = tracer
+    return previous
 
 
 def current_tracer() -> Tracer:
     """The thread's active tracer (a disabled one when none is installed)."""
-    return getattr(_ACTIVE, "tracer", _NULL_TRACER)
+    return _ACTIVE.tracer
 
 
 def set_tracer(tracer: Optional[Tracer]) -> None:
     """Install ``tracer`` as this thread's active tracer (None resets)."""
-    if tracer is None:
-        if hasattr(_ACTIVE, "tracer"):
-            del _ACTIVE.tracer
-    else:
-        _ACTIVE.tracer = tracer
+    _install(_NULL_TRACER if tracer is None else tracer)
 
 
 @contextmanager
 def use_tracer(tracer: Tracer, *, close: bool = True) -> Iterator[Tracer]:
     """Make ``tracer`` active for the block; restore (and close) after."""
-    previous = getattr(_ACTIVE, "tracer", None)
-    _ACTIVE.tracer = tracer
+    previous = _install(tracer)
     try:
         yield tracer
     finally:
-        if previous is None:
-            del _ACTIVE.tracer
-        else:
-            _ACTIVE.tracer = previous
+        _install(previous)
         if close:
             tracer.close()

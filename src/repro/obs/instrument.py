@@ -10,9 +10,14 @@ wraps whole functions:
 * :func:`tracing` — install a tracer for a block:
   ``with tracing("run.jsonl"): ...`` (path → JSONL, ``None`` → in-memory)
 
-All of them resolve :func:`~repro.obs.events.current_tracer` at call time
-and short-circuit when it is disabled, so instrumented hot paths cost one
-thread-local lookup per call in the default (null sink) configuration.
+All of them resolve the active tracer at call time and short-circuit when
+it is disabled.  :func:`span`, :func:`count` and :func:`observe` first read
+a global count of enabled tracers installed on any thread, so while none is
+installed (the default, null-sink configuration) a call costs about one
+empty function call: a disabled :func:`count` measures within 2x of an
+empty two-argument function under ``timeit`` (docs/performance.md,
+"Observability overhead").  With a tracer installed on some thread they
+read the thread-local slot as well.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import functools
 from pathlib import Path
 from typing import Callable, Optional, TypeVar, Union
 
-from .events import NULL_CONTEXT, Tracer, current_tracer, use_tracer
+from .events import _ACTIVE, _LIVE, NULL_CONTEXT, Tracer, use_tracer
 from .sinks import JsonlSink, MemorySink, Sink
 
 _F = TypeVar("_F", bound=Callable[..., object])
@@ -29,7 +34,9 @@ _F = TypeVar("_F", bound=Callable[..., object])
 
 def span(name: str, **attrs: object) -> object:
     """Context manager timing one phase under the active tracer."""
-    tracer = current_tracer()
+    if not _LIVE[0]:
+        return NULL_CONTEXT
+    tracer = _ACTIVE.tracer
     if not tracer.enabled:
         return NULL_CONTEXT
     return tracer.span(name, **attrs)
@@ -37,22 +44,24 @@ def span(name: str, **attrs: object) -> object:
 
 def count(name: str, value: int = 1) -> None:
     """Add ``value`` to the named counter of the active tracer."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count(name, value)
+    if _LIVE[0]:
+        tracer = _ACTIVE.tracer
+        if tracer.enabled:
+            tracer.count(name, value)
 
 
 def observe(name: str, value: int, n: int = 1) -> None:
     """Record ``n`` occurrences of ``value`` in the named histogram."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.observe(name, value, n)
+    if _LIVE[0]:
+        tracer = _ACTIVE.tracer
+        if tracer.enabled:
+            tracer.observe(name, value, n)
 
 
 def traced(name: str, **attrs: object) -> Callable[[_F], _F]:
     """Decorator: run the function inside a :func:`span` of ``name``.
 
-    The no-trace fast path adds one thread-local lookup and one branch —
+    The no-trace fast path adds one thread-local read and one branch —
     cheap enough for per-call planner instrumentation, though hand-placed
     :func:`span` blocks are preferred where per-instance attributes
     (cells, devices, trials) are worth recording.
@@ -61,7 +70,7 @@ def traced(name: str, **attrs: object) -> Callable[[_F], _F]:
     def decorate(function: _F) -> _F:
         @functools.wraps(function)
         def wrapper(*args: object, **kwargs: object) -> object:
-            tracer = current_tracer()
+            tracer = _ACTIVE.tracer
             if not tracer.enabled:
                 return function(*args, **kwargs)
             with tracer.span(name, **attrs):

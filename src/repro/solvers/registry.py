@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - Python < 3.8 has no Protocol
 from ..core.instance import Number, PagingInstance
 from ..core.strategy import Strategy
 from ..errors import ReproError
-from ..obs import span
+from ..obs import current_tracer, span
 from .result import SolverResult
 
 #: The allowed ``kind`` values, in display order.
@@ -125,10 +125,32 @@ class RegisteredSolver:
     _supports: Optional[SupportsFn] = field(default=None, repr=False)
     #: optional many-instances entry point (see :meth:`run_batch`)
     batch_adapter: Optional[BatchAdapterFn] = field(default=None, repr=False)
+    #: ``spec.options`` and ``spec.required`` as sets, for the per-call check
+    _accepted: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    _required: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_accepted", frozenset(self.spec.options))
+        object.__setattr__(self, "_required", frozenset(self.spec.required))
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    def _check_options(self, options: Mapping[str, object]) -> None:
+        """Raise ``TypeError`` for an unknown or a missing required option."""
+        keys = options.keys()
+        if keys <= self._accepted and self._required <= keys:
+            return
+        spec = self.spec
+        unknown = sorted(keys - self._accepted)
+        if unknown:
+            raise TypeError(
+                f"solver {spec.name!r} got unknown option(s) {unknown}; "
+                f"accepted: {sorted(spec.options)}"
+            )
+        missing = sorted(self._required - keys)
+        raise TypeError(f"solver {spec.name!r} requires option(s) {missing}")
 
     @property
     def supports_batch(self) -> bool:
@@ -151,23 +173,15 @@ class RegisteredSolver:
         the same spec as scalar calls, and the run is wrapped in a
         ``solver.run_batch`` span carrying the batch size.
         """
-        spec = self.spec
         if self.batch_adapter is None:
             raise TypeError(
-                f"solver {spec.name!r} has no batched entry point; "
+                f"solver {self.spec.name!r} has no batched entry point; "
                 "check supports_batch before calling run_batch"
             )
-        unknown = sorted(set(options) - set(spec.options))
-        if unknown:
-            raise TypeError(
-                f"solver {spec.name!r} got unknown option(s) {unknown}; "
-                f"accepted: {sorted(spec.options)}"
-            )
-        missing = sorted(set(spec.required) - set(options))
-        if missing:
-            raise TypeError(
-                f"solver {spec.name!r} requires option(s) {missing}"
-            )
+        self._check_options(options)
+        if not current_tracer().enabled:
+            return self.batch_adapter(instances, **options)
+        spec = self.spec
         size = len(instances) if hasattr(instances, "__len__") else None
         with span(
             "solver.run_batch", solver=spec.name, kind=spec.kind, batch=size
@@ -176,17 +190,7 @@ class RegisteredSolver:
 
     def __call__(self, instance: PagingInstance, **options: object) -> SolverResult:
         spec = self.spec
-        unknown = sorted(set(options) - set(spec.options))
-        if unknown:
-            raise TypeError(
-                f"solver {spec.name!r} got unknown option(s) {unknown}; "
-                f"accepted: {sorted(spec.options)}"
-            )
-        missing = sorted(set(spec.required) - set(options))
-        if missing:
-            raise TypeError(
-                f"solver {spec.name!r} requires option(s) {missing}"
-            )
+        self._check_options(options)
         with span("solver.run", solver=spec.name, kind=spec.kind):
             start = time.perf_counter()
             strategy, value, extras = self.adapter(instance, **options)

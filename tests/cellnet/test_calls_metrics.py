@@ -209,3 +209,20 @@ class TestMetrics:
         metrics.record_occupancy([2, 2, 0])
         assert metrics.channel_occupancy == {0: 2, 1: 1, 2: 3}
         assert metrics.mean_channel_occupancy == pytest.approx(7 / 6)
+
+    def test_occupancy_equals_a_per_cell_loop_in_key_order(self):
+        # One counting pass per round must build the dict a per-cell loop
+        # builds, insertion order included.
+        rng = np.random.default_rng(4401)
+        for _ in range(100):
+            metrics = LinkUsageMetrics(contention=True)
+            expected = {}
+            for _round in range(int(rng.integers(1, 6))):
+                slots = rng.integers(0, 5, size=int(rng.integers(1, 40)))
+                vector = slots.tolist() if rng.random() < 0.5 else slots
+                metrics.record_occupancy(vector)
+                for used in vector:
+                    key = int(used)
+                    expected[key] = expected.get(key, 0) + 1
+            assert list(metrics.channel_occupancy.items()) == list(expected.items())
+            assert all(type(key) is int for key in metrics.channel_occupancy)

@@ -9,12 +9,18 @@ from repro.cellnet import (
     PAGER_FACTORIES,
     AdaptivePager,
     BlanketPager,
+    CellTopology,
+    CellularSimulator,
+    ConferenceCallRequest,
     CostAwarePager,
     FaultInjector,
     FaultModel,
     HeuristicPager,
+    LocationAreaPlan,
+    RandomWalk,
     RecoveryPolicy,
     ResilientPager,
+    SimulationConfig,
     build_sub_instance,
     execute_search,
 )
@@ -257,6 +263,51 @@ class TestArrayAdmission:
             expected = _global_groups(planner(instance).strategy, cells)
             assert HeuristicPager().plan(instance, cells) == expected
             assert AdaptivePager().plan(instance, cells) == expected
+
+    def test_gathered_online_priors_equal_estimated_prior_bytes(self, backend):
+        # Online priors are one gather of the visit-count rows; each row
+        # must be the bytes of the per-device estimate.
+        rng = np.random.default_rng(3107)
+        topology = CellTopology.hexagonal_disk(2)
+        models = [RandomWalk(topology, stay_probability=0.3) for _ in range(7)]
+        config = SimulationConfig(
+            horizon=60,
+            call_rate=1.5,
+            arrival_mode="poisson",
+            channel_capacity=1,
+            prior_smoothing=0.37,
+        )
+        simulator = CellularSimulator(
+            topology, LocationAreaPlan.by_bfs(topology, 3), models, config, rng=rng
+        )
+        simulator.run()
+        for _ in range(200):
+            size = int(rng.integers(1, 8))
+            participants = tuple(sorted(rng.choice(7, size, replace=False).tolist()))
+            request = ConferenceCallRequest(time=60, participants=participants)
+            _cells, priors = simulator._call_inputs(request)
+            assert priors.shape == (size, topology.num_cells)
+            for row, device in zip(priors, participants):
+                assert row.tobytes() == simulator.estimated_prior(device).tobytes()
+
+    def test_pager_groups_match_registry_over_gathered_priors(self, backend):
+        rng = np.random.default_rng(2207)
+        planner = get_solver("heuristic")
+        for _ in range(300):
+            priors, cells = _random_admission(rng)
+            stacked = np.array(priors)
+            d = int(rng.integers(1, 5))
+            instance, cells = build_sub_instance(stacked, cells, max_rounds=d)
+            rows, _ = build_sub_instance(priors, cells, max_rounds=d)
+            assert instance.float_rows().tobytes() == rows.float_rows().tobytes()
+            expected = _global_groups(planner(instance).strategy, cells)
+            assert HeuristicPager().plan(instance, cells) == expected
+
+    def test_sub_instance_leaves_stacked_priors_unchanged(self):
+        priors = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
+        before = priors.copy()
+        build_sub_instance(priors, [2, 1], max_rounds=2)
+        assert np.array_equal(priors, before)
 
     def test_exact_instance_plans_through_the_reference(self):
         instance = PagingInstance(

@@ -125,3 +125,19 @@ class TestCompiledBackend:
 
     def test_plan_batch_reports_compiled(self):
         assert plan_batch(_tiny_batch(), 2).backend == "compiled"
+
+    def test_backend_follows_the_switch_between_calls(self, monkeypatch):
+        # The kernel stays loaded; each call reads the switch again.
+        batch = _tiny_batch()
+        first = plan_batch(batch, 2)
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+        second = plan_batch(batch, 2)
+        monkeypatch.delenv("REPRO_DISABLE_COMPILED")
+        third = plan_batch(batch, 2)
+        assert [first.backend, second.backend, third.backend] == [
+            "compiled", "numpy", "compiled"
+        ]
+        for result in (second, third):
+            assert np.array_equal(result.orders, first.orders)
+            assert np.array_equal(result.group_sizes, first.group_sizes)
+            assert result.values.tobytes() == first.values.tobytes()

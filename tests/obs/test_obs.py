@@ -1,6 +1,7 @@
 """Unit tests for ``repro.obs``: sinks, tracer, instrumentation, reports."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -134,6 +135,111 @@ class TestActiveTracer:
             worker.start()
             worker.join()
         assert seen == [False]  # other threads never see this tracer
+
+
+class TestDisabledFastPath:
+    """No installed tracer: every thread reads the one disabled default."""
+
+    def test_fresh_thread_sees_the_null_tracer(self):
+        default = current_tracer()
+        seen = []
+        with use_tracer(Tracer(MemorySink()), close=False):
+            worker = threading.Thread(target=lambda: seen.append(current_tracer()))
+            worker.start()
+            worker.join()
+        assert seen == [default]
+        assert default.enabled is False
+
+    def test_nested_use_tracer_restores_the_outer_tracer(self):
+        outer = Tracer(MemorySink())
+        inner = Tracer(MemorySink())
+        set_tracer(outer)
+        try:
+            with use_tracer(inner, close=False):
+                with use_tracer(Tracer(MemorySink()), close=False):
+                    count("deep")
+                assert current_tracer() is inner
+                count("inner")
+            assert current_tracer() is outer
+            count("outer")
+        finally:
+            set_tracer(None)
+        assert inner._counters == {"inner": 1}
+        assert outer._counters == {"outer": 1}
+
+    def test_set_tracer_none_resets_to_the_default(self):
+        default = current_tracer()
+        tracer = Tracer(MemorySink())
+        set_tracer(tracer)
+        set_tracer(None)
+        assert current_tracer() is default
+        count("dropped")
+        assert tracer._counters == {}
+
+    def test_helpers_see_a_tracer_installed_after_another_thread_dropped_one(self):
+        def install_and_drop():
+            set_tracer(Tracer(MemorySink()))
+            set_tracer(None)
+
+        worker = threading.Thread(target=install_and_drop)
+        worker.start()
+        worker.join()
+        tracer = Tracer(MemorySink())
+        with use_tracer(tracer, close=False):
+            count("seen", 2)
+            observe("hist", 3)
+        assert tracer._counters == {"seen": 2}
+        assert tracer._histograms == {"hist": {3: 1}}
+
+    def test_live_count_holds_under_concurrent_installs(self):
+        # Threads install and drop tracers at once; a lost update on the
+        # shared count of enabled tracers would leave it off its start.
+        from repro.obs import events
+
+        start = events._LIVE[0]
+
+        def churn():
+            for _ in range(300):
+                with use_tracer(Tracer(MemorySink()), close=False):
+                    set_tracer(Tracer(MemorySink()))
+                set_tracer(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert events._LIVE[0] == start
+
+    def test_a_tracer_on_another_thread_does_not_enable_this_one(self):
+        started = threading.Event()
+        release = threading.Event()
+        tracer = Tracer(MemorySink())
+
+        def hold():
+            with use_tracer(tracer, close=False):
+                started.set()
+                release.wait(5)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        started.wait(5)
+        try:
+            count("here")
+            with span("here"):
+                pass
+            assert current_tracer().enabled is False
+        finally:
+            release.set()
+            worker.join()
+        assert tracer._counters == {}
+        assert tracer.sink.events[1:] == []
 
 
 class TestInstrumentHelpers:
