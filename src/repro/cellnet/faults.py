@@ -52,7 +52,13 @@ import numpy as np
 from ..errors import SimulationError
 from ..obs.instrument import count
 from .metrics import LinkUsageMetrics
-from .paging import PAGER_FACTORIES, PagingOutcome, build_sub_instance, execute_search
+from .paging import (
+    PAGER_FACTORIES,
+    PagingOutcome,
+    Priors,
+    build_sub_instance,
+    execute_search,
+)
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,7 @@ class ResilientPager:
 
     def search(
         self,
-        priors: Sequence[np.ndarray],
+        priors: Priors,
         candidate_cells: Sequence[int],
         true_cells: Sequence[int],
         max_rounds: int,
