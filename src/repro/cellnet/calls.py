@@ -17,6 +17,7 @@ modes with a configurable party-size distribution:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -91,22 +92,21 @@ class PoissonConferenceCalls:
         weights = weights[: max_size - 1]
         self._rate = rate
         self._num_devices = num_devices
-        self._sizes = np.arange(2, max_size + 1)
-        self._size_probabilities = weights / weights.sum()
+        self._sizes = list(range(2, max_size + 1))
         # The CDF exactly as ``Generator.choice(sizes, p=...)`` builds it, so
-        # one ``random()`` through it replays that call draw for draw.
-        self._size_cdf = np.cumsum(self._size_probabilities)
-        self._size_cdf /= self._size_cdf[-1]
+        # one ``random()`` through it replays that call draw for draw.  Held
+        # as Python floats: ``bisect_right`` on them makes the comparisons
+        # ``searchsorted(side="right")`` makes, without the array call.
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        self._size_cdf: List[float] = cdf.tolist()
 
     def _draw_request(
         self, time: int, rng: np.random.Generator
     ) -> ConferenceCallRequest:
-        size = int(
-            self._sizes[self._size_cdf.searchsorted(rng.random(), side="right")]
-        )
+        size = self._sizes[bisect_right(self._size_cdf, rng.random())]
         participants = tuple(
-            int(device)
-            for device in sorted(rng.choice(self._num_devices, size=size, replace=False))
+            sorted(rng.choice(self._num_devices, size=size, replace=False).tolist())
         )
         return ConferenceCallRequest(time=time, participants=participants)
 

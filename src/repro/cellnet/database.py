@@ -10,7 +10,7 @@ paging optimizer exists to handle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -80,15 +80,37 @@ class LocationRegistry:
         )
         self._confirmed.discard(device)
 
-    def report(self, device: int, area: int, cell: Optional[int], time: int) -> None:
-        """A location update message arriving over a wireless link."""
-        record = self._require(device)
-        record.reported_area = area
-        record.reported_cell = cell
-        record.updated_at = time
-        record.confirmed_cell = None
-        self._confirmed.discard(device)
-        self.updates_processed += 1
+    def report(
+        self,
+        device: Union[int, Sequence[int]],
+        area: Union[int, Sequence[int]],
+        cell: Union[Optional[int], Sequence[int]],
+        time: int,
+    ) -> None:
+        """Location update messages arriving over a wireless link.
+
+        ``device``, ``area`` and ``cell`` are one device's update or
+        equal-length sequences of many (a whole step's reporters), applied
+        in order, each counted in ``updates_processed``.
+        """
+        if isinstance(device, (int, np.integer)):
+            device, area, cell = (device,), (area,), (cell,)
+        records = self._records
+        confirmed = self._confirmed
+        applied = 0
+        try:
+            for one, one_area, one_cell in zip(device, area, cell):
+                record = records.get(one) or self._require(one)
+                record.reported_area = one_area
+                record.reported_cell = one_cell
+                record.updated_at = time
+                record.confirmed_cell = None
+                confirmed.discard(one)
+                applied += 1
+        finally:
+            # One count per applied update, also when an unknown device
+            # (``_require`` raises) stops the batch part way.
+            self.updates_processed += applied
 
     def confirm(self, device: int, cell: int, area: int, time: int) -> None:
         """Exact location learned as a side effect (e.g. found by paging)."""

@@ -5,8 +5,8 @@ simulator and the trace-based distribution estimator can swap them freely:
 
 * :class:`RandomWalk` — stay put with some probability, otherwise hop to a
   uniformly random neighboring cell.  :func:`step_random_walks` steps many
-  of them at once from one block of raw PCG64 draws, with the same result
-  and the same generator state as stepping them one by one.
+  of them in one call (in the compiled library when it loads), with the
+  same result and the same generator state as stepping them one by one.
 * :class:`RandomWaypoint` — pick a random destination cell, walk a shortest
   path toward it (optionally pausing), then pick a new destination.
 * :class:`GravityMobility` — neighbor choice biased by per-cell attraction
@@ -16,12 +16,13 @@ simulator and the trace-based distribution estimator can swap them freely:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SimulationError
-from .topology import CellTopology
+from ..core.backends import auto_kernel
+from .topology import CellTopology, build_neighbor_csr
 
 
 class MobilityModel(Protocol):
@@ -68,27 +69,88 @@ class RandomWalk:
         return int(neighbors[rng.integers(len(neighbors))])
 
 
+_OFF_TOPOLOGY = "a device's cell is not a cell of the topology"
+
+
+def step_random_walks(
+    bit_generator: np.random.PCG64,
+    cells: Union[Sequence[int], np.ndarray],
+    stay: Union[Sequence[float], np.ndarray],
+    neighbors: Sequence[Sequence[int]],
+    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Union[List[int], np.ndarray]:
+    """One :class:`RandomWalk` step of every device, in one call.
+
+    Device ``i`` is in ``cells[i]`` and stays with probability ``stay[i]``;
+    ``neighbors`` is the topology's :attr:`~CellTopology.neighbor_table`
+    and ``csr``, when given, its :attr:`~CellTopology.neighbor_csr`.  The
+    result equals ``[walk.step(cell, rng) for ...]`` in device order on
+    ``rng = np.random.Generator(bit_generator)``, draw for draw, and the
+    generator is left in exactly the state that loop leaves it in.  It is
+    a list, or an ``intp`` array when ``cells`` is an array.  A cell off the
+    topology, or a ``stay`` of another length, raises
+    :class:`~repro.errors.SimulationError` before anything is drawn.
+
+    With the compiled library (:func:`~repro.core.backends.auto_kernel`)
+    the loop runs in C on the generator's own ``next_double`` and
+    ``next_uint32``, holding ``bit_generator.lock`` as ``Generator``
+    methods do.  Without it, :func:`_emulate_random_walks` reproduces the
+    draws from raw PCG64 output, so callers must pass an exact
+    ``np.random.PCG64``.
+    """
+    if len(stay) != len(cells):
+        raise SimulationError("need one stay probability per device")
+    as_array = isinstance(cells, np.ndarray)
+    if len(cells) == 0:
+        return np.empty(0, dtype=np.intp) if as_array else []
+    kernel = auto_kernel()
+    if kernel is None:
+        starts = cells.tolist() if as_array else cells
+        if min(starts) < 0 or max(starts) >= len(neighbors):
+            raise SimulationError(_OFF_TOPOLOGY)
+        moved = _emulate_random_walks(
+            bit_generator,
+            starts,
+            stay.tolist() if isinstance(stay, np.ndarray) else stay,
+            neighbors,
+        )
+        return np.array(moved, dtype=np.intp) if as_array else moved
+    offsets, flat = build_neighbor_csr(neighbors) if csr is None else csr
+    starts = np.ascontiguousarray(cells, dtype=np.intp)
+    stays = np.ascontiguousarray(stay, dtype=np.float64)
+    out = np.empty(len(starts), dtype=np.intp)
+    with bit_generator.lock:
+        status = kernel.repro_step_walks(
+            bit_generator.ctypes.bit_generator,
+            len(starts),
+            starts.ctypes.data,
+            stays.ctypes.data,
+            len(offsets) - 1,
+            offsets.ctypes.data,
+            flat.ctypes.data,
+            out.ctypes.data,
+        )
+    if status != 0:
+        raise SimulationError(_OFF_TOPOLOGY)
+    return out if as_array else out.tolist()
+
+
 #: ``Generator.random()`` is ``(raw >> 11) * _DOUBLE_UNIT`` of one raw draw.
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 _MASK32 = 0xFFFFFFFF
 _TWO32 = 0x100000000
 
 
-def step_random_walks(
+def _emulate_random_walks(
     bit_generator: np.random.PCG64,
     cells: Sequence[int],
     stay: Sequence[float],
     neighbors: Sequence[Sequence[int]],
 ) -> List[int]:
-    """One :class:`RandomWalk` step of every device, from one block of draws.
+    """:func:`step_random_walks` from one block of raw PCG64 draws.
 
-    Device ``i`` is in ``cells[i]`` and stays with probability ``stay[i]``;
-    ``neighbors`` is the topology's :attr:`~CellTopology.neighbor_table`.
-    The result equals ``[walk.step(cell, rng) for ...]`` in device order on
-    ``rng = np.random.Generator(bit_generator)``, draw for draw, and the
-    generator is left in exactly the state that loop leaves it in.
-
-    The scan emulates the two ``Generator`` calls on PCG64:
+    The path for a host with no C compiler.  The scan emulates the two
+    ``Generator`` calls on PCG64:
 
     * ``random()`` takes one raw 64-bit draw ``r`` and returns
       ``(r >> 11) * 2**-53``.  It does not touch the 32-bit buffer.
@@ -99,11 +161,8 @@ def step_random_walks(
       half, while ``(half * k) mod 2**32 < (2**32 - k) % k``.
       ``integers(1)`` draws nothing.
 
-    Every other bit generator splits its draws differently, so callers must
-    pass an exact ``np.random.PCG64``.
+    Every other bit generator splits its draws differently.
     """
-    if len(cells) == 0:
-        return []
     state = bit_generator.state
     has_half = state["has_uint32"]
     half = state["uinteger"]

@@ -30,17 +30,20 @@ per cell per round through a :class:`~repro.cellnet.engine.ChannelScheduler`,
 and the report grows blocking probability, setup-latency percentiles, and
 a channel-occupancy histogram (docs/contention.md).
 
-Movement is drawn in one block per step when that provably replays the
+Movement is drawn in one call per step when that provably replays the
 per-device loop: every device walks an exact
 :class:`~repro.cellnet.mobility.RandomWalk` on this topology, the stream is
 ``np.random.PCG64``, and no update-loss fault draws between device steps.
-:func:`~repro.cellnet.mobility.step_random_walks` then emulates the
-``RandomWalk.step`` calls from raw PCG64 draws and leaves the generator
-where they would have left it, so results and digests do not depend on
-which path ran.  Every other population (waypoint, gravity, mixed lists,
-subclasses, other bit generators) is stepped one device at a time.  The
-choice is made once, at construction, from those inputs alone
-(docs/performance.md, "Batched movement").
+:func:`~repro.cellnet.mobility.step_random_walks` then runs the
+``RandomWalk.step`` loop in the compiled library, drawing through the
+generator's own C functions, or, on a host with no C compiler (or with
+``REPRO_DISABLE_COMPILED`` set), emulates those calls from raw PCG64
+draws.  Either way it leaves the generator where the scalar loop would
+have left it, so results and digests do not depend on which path ran.
+Every other population (waypoint, gravity, mixed lists, subclasses, other
+bit generators) is stepped one device at a time.  The choice is made once,
+at construction, from those inputs alone (docs/performance.md, "Batched
+movement").
 
 Each device's state is an entry of arrays on the simulator: its cell, the
 cell it last reported, steps since that report, and the step its active
@@ -203,7 +206,9 @@ def _batched_walk_stays(
 
     :func:`~repro.cellnet.mobility.step_random_walks` replays the scalar
     loop draw for draw only when the stream is PCG64 (the only bit
-    generator it emulates), every model is an exact :class:`RandomWalk`
+    generator its no-compiler emulation handles; the compiled path keeps
+    the same rule, so which runs batch does not depend on the host), every
+    model is an exact :class:`RandomWalk`
     (a subclass may override ``step``) walking this topology, and nothing
     draws between two device steps, as lost location updates do
     (``FaultInjector.update_delivered``).
@@ -335,9 +340,8 @@ class CellularSimulator:
         self._models = list(mobility_models)
         self._device_rows = np.arange(n)
         self._visit_counts = np.full((n, c), config.prior_smoothing, dtype=float)
-        self._walk_stays = _batched_walk_stays(
-            mobility_models, topology, rng, config.faults
-        )
+        stays = _batched_walk_stays(mobility_models, topology, rng, config.faults)
+        self._walk_stays = None if stays is None else np.array(stays, dtype=float)
         cells: List[int] = []
         for index in range(n):
             if initial_cells is not None:
@@ -461,14 +465,12 @@ class CellularSimulator:
         old = self._cells
         delivered: Optional[np.ndarray] = None
         if self._walk_stays is not None:
-            new = np.array(
-                step_random_walks(
-                    self._rng.bit_generator,
-                    old.tolist(),
-                    self._walk_stays,
-                    self._topology.neighbor_table,
-                ),
-                dtype=int,
+            new = step_random_walks(
+                self._rng.bit_generator,
+                old,
+                self._walk_stays,
+                self._topology.neighbor_table,
+                self._topology.neighbor_csr,
             )
         else:
             new, delivered = self._step_devices(time)
@@ -503,10 +505,7 @@ class CellularSimulator:
         if delivered is not None:
             reporters = reporters[delivered[reporters]]
         cells = new[reporters]
-        for device, cell, area in zip(
-            reporters.tolist(), cells.tolist(), areas[cells].tolist()
-        ):
-            registry.report(device, area, cell, time)
+        registry.report(reporters.tolist(), areas[cells].tolist(), cells.tolist(), time)
         self._cells = new
         self._visit_counts[self._device_rows, new] += 1.0
 

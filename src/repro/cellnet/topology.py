@@ -17,6 +17,19 @@ from ..errors import SimulationError
 from .geometry import Hex, hex_disk, hex_rectangle
 
 
+def build_neighbor_csr(
+    table: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A neighbor table as ``intp`` arrays ``(offsets, cells)``.
+
+    ``cells[offsets[c]:offsets[c + 1]]`` lists ``table[c]`` in order.
+    """
+    offsets = np.zeros(len(table) + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum([len(row) for row in table])
+    cells = np.array([cell for row in table for cell in row], dtype=np.intp)
+    return offsets, cells
+
+
 class CellTopology:
     """An undirected adjacency graph over cells ``0..c-1``."""
 
@@ -43,6 +56,9 @@ class CellTopology:
             tuple(sorted(graph.neighbors(cell)))
             for cell in range(graph.number_of_nodes())
         )
+        self._neighbor_csr = build_neighbor_csr(self._neighbor_table)
+        for array in self._neighbor_csr:
+            array.flags.writeable = False
         self._hop_distances: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -62,6 +78,14 @@ class CellTopology:
     def neighbor_table(self) -> Tuple[Tuple[int, ...], ...]:
         """``neighbor_table[cell] == neighbors(cell)`` for every cell."""
         return self._neighbor_table
+
+    @property
+    def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:attr:`neighbor_table` as :func:`build_neighbor_csr` arrays (read-only).
+
+        The compiled random-walk step reads this layout.
+        """
+        return self._neighbor_csr
 
     def position(self, cell: int) -> Tuple[float, float]:
         """Planar position of the cell center (for distance-flavored models)."""

@@ -1,4 +1,7 @@
 /* Batched Fig. 1 planner kernel: weight ordering + Lemma 4.7 cut DP.
+ * The file also holds the batched RandomWalk step (repro_step_walks, at
+ * the end), which draws through numpy's generator and needs no float
+ * contract beyond comparing the generator's own doubles.
  *
  * Bit-identity contract with the numpy backend (repro.core.batch_plan):
  *  - weights are sequential per-cell sums over devices (same add order);
@@ -254,5 +257,59 @@ int repro_optimize_cuts_batch(
         if (!feasible[i]) mark_infeasible(sizes + i * d, values + i, d);
     }
     scratch_free(&s);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* One RandomWalk step of many devices, drawn from numpy's generator.  */
+/* ------------------------------------------------------------------ */
+/* Layout of numpy's bitgen_t (numpy/random/bitgen.h), the struct that */
+/* BitGenerator.ctypes.bit_generator points to.                        */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen;
+
+/* Generator.integers(k) for k >= 2: numpy's buffered_bounded_lemire_uint32
+ * with rng = k - 1, on the generator's own next_uint32 (which keeps the
+ * bit generator's 32-bit buffer). */
+static uint32_t bounded_lemire(repro_bitgen *g, uint32_t k) {
+    uint64_t m = (uint64_t)g->next_uint32(g->state) * k;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < k) {
+        const uint32_t threshold = (UINT32_MAX - (k - 1)) % k;
+        while (leftover < threshold) {
+            m = (uint64_t)g->next_uint32(g->state) * k;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Device i in cells[i] stays when random() < stay[i], else moves to one of
+ * its neighbors neighbors[offsets[cell] .. offsets[cell + 1]) picked by
+ * integers(k); k == 1 draws nothing and k == 0 stays.  The same draws, in
+ * the same order, as RandomWalk.step called device by device.  Returns -1,
+ * before drawing anything, if a cell lies outside 0 .. ncells - 1. */
+int repro_step_walks(
+    void *bitgen, ptrdiff_t n, const ptrdiff_t *cells, const double *stay,
+    ptrdiff_t ncells, const ptrdiff_t *offsets, const ptrdiff_t *neighbors,
+    ptrdiff_t *out
+) {
+    for (ptrdiff_t i = 0; i < n; ++i)
+        if (cells[i] < 0 || cells[i] >= ncells) return -1;
+    repro_bitgen *g = (repro_bitgen *)bitgen;
+    for (ptrdiff_t i = 0; i < n; ++i) {
+        const ptrdiff_t cell = cells[i];
+        if (g->next_double(g->state) < stay[i]) { out[i] = cell; continue; }
+        const ptrdiff_t start = offsets[cell];
+        const ptrdiff_t k = offsets[cell + 1] - start;
+        if (k == 0) out[i] = cell;
+        else if (k == 1) out[i] = neighbors[start];
+        else out[i] = neighbors[start + bounded_lemire(g, (uint32_t)k)];
+    }
     return 0;
 }

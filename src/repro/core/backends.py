@@ -21,6 +21,13 @@ once per call, so a planner call resolves its backend with one read.
 ``resolve_backend("compiled")`` raises instead of degrading, for a check
 that must know the kernel loads.
 
+The same library holds ``repro_step_walks``, the batched ``RandomWalk``
+step that :func:`repro.cellnet.mobility.step_random_walks` runs when
+:func:`auto_kernel` returns the library; without it that function emulates
+the draws in Python.  So ``REPRO_DISABLE_COMPILED`` switches movement as
+well as planning, and ``planner.backend_fallback`` counts both kinds of
+call.
+
 Environment (tested in ``tests/core/test_backends.py``):
 
 * ``REPRO_DISABLE_COMPILED=1`` — pretend no toolchain exists (the no-
@@ -133,6 +140,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_optimize_cuts_batch.argtypes = [
         ptr, ssize, ssize, ssize, ssize, ptr, ptr, ptr,
     ]
+    lib.repro_step_walks.restype = ctypes.c_int
+    lib.repro_step_walks.argtypes = [ptr, ssize, ptr, ptr, ssize, ptr, ptr, ptr]
     return lib
 
 

@@ -35,6 +35,18 @@ class TestEventEngine:
         with pytest.raises(SimulationError):
             engine.on("teleport", lambda event: None)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(SimulationError):
+            Event(-1, MOVEMENT)
+
+    def test_event_is_an_immutable_record(self):
+        event = Event(3, ARRIVAL, "payload")
+        assert (event.time, event.kind, event.payload) == (3, ARRIVAL, "payload")
+        assert event == Event(3, ARRIVAL, "payload")
+        assert Event(3, ARRIVAL).payload is None
+        with pytest.raises(AttributeError):
+            event.time = 4
+
     def test_dispatch_order_time_then_priority_then_seq(self):
         engine = EventEngine()
         order = []

@@ -1,5 +1,7 @@
 """Unit tests for mobility models."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.cellnet import (
     stationary_distribution,
     step_random_walks,
 )
+from repro.core import compiled_available
 from repro.errors import SimulationError
 
 
@@ -57,25 +60,49 @@ def _cell_of_degree(topology, degree):
     )
 
 
-def _scalar_and_batch(topology, stay, cells, steps, scalar, batch):
-    """Step both ways; assert equal cells and generator state every step."""
+#: The movement paths this host runs: the compiled kernel when it loads,
+#: and always the emulation a host with no C compiler runs.
+WALK_PATHS = ("compiled", "emulation") if compiled_available() else ("emulation",)
+
+
+@contextmanager
+def _on_path(path):
+    """Run the block on one movement path, switched the way CI switches it."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "emulation":
+            patch.setenv("REPRO_DISABLE_COMPILED", "1")
+        yield
+
+
+def _scalar_and_batch(topology, stay, cells, steps, make_rng):
+    """Step the scalar loop and every path, each on its own ``make_rng()``.
+
+    Asserts equal cells and generator state after every step.
+    """
     model = RandomWalk(topology, stay_probability=stay)
     table = topology.neighbor_table
     stays = [stay] * len(cells)
+    scalar = make_rng()
+    batches = {path: make_rng() for path in WALK_PATHS}
     expected = list(cells)
-    actual = list(cells)
+    actual = {path: list(cells) for path in WALK_PATHS}
     for _ in range(steps):
         expected = [model.step(cell, scalar) for cell in expected]
-        actual = step_random_walks(batch.bit_generator, actual, stays, table)
-        assert actual == expected
-        assert batch.bit_generator.state == scalar.bit_generator.state
+        for path, batch in batches.items():
+            with _on_path(path):
+                actual[path] = step_random_walks(
+                    batch.bit_generator, actual[path], stays, table
+                )
+            assert actual[path] == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 class TestStepRandomWalks:
     """The batch replays ``RandomWalk.step`` on numpy's PCG64 stream.
 
-    If numpy ever changes how ``random()`` or ``integers(k)`` consume PCG64
-    draws, these tests fail here, by name, before any simulator digest.
+    Every test runs each path in :data:`WALK_PATHS`.  If numpy ever changes
+    how ``random()`` or ``integers(k)`` consume PCG64 draws, these tests
+    fail here, by name, before any simulator digest.
     """
 
     @pytest.mark.parametrize("stay", [0.0, 0.3, 0.9])
@@ -87,8 +114,7 @@ class TestStepRandomWalks:
             stay,
             [int(cell) for cell in starts],
             50,
-            np.random.default_rng(seed),
-            np.random.default_rng(seed),
+            lambda: np.random.default_rng(seed),
         )
 
     @pytest.mark.parametrize(
@@ -110,8 +136,7 @@ class TestStepRandomWalks:
                 0.3,
                 [cell] * 25,
                 20,
-                np.random.default_rng(seed),
-                np.random.default_rng(seed),
+                lambda: np.random.default_rng(seed),
             )
 
     @pytest.mark.parametrize("uinteger", [0x12345678, 0xFFFFFFFF])
@@ -121,8 +146,7 @@ class TestStepRandomWalks:
             0.3,
             list(range(topology.num_cells)),
             10,
-            _with_buffer(5, 1, uinteger),
-            _with_buffer(5, 1, uinteger),
+            lambda: _with_buffer(5, 1, uinteger),
         )
 
     def test_lemire_rejection(self, topology):
@@ -135,30 +159,82 @@ class TestStepRandomWalks:
         # integers(6) used the buffered half and then a fresh raw draw
         assert after["state"] != rejected["state"]
         assert after["has_uint32"] == 1
-        _scalar_and_batch(
-            topology, 0.0, [cell] * 8, 5, _with_buffer(11, 1, 0), _with_buffer(11, 1, 0)
-        )
+        _scalar_and_batch(topology, 0.0, [cell] * 8, 5, lambda: _with_buffer(11, 1, 0))
 
     def test_no_devices_draws_nothing(self, topology, rng):
         before = rng.bit_generator.state
-        assert step_random_walks(rng.bit_generator, [], [], topology.neighbor_table) == []
-        assert rng.bit_generator.state == before
+        table = topology.neighbor_table
+        for path in WALK_PATHS:
+            with _on_path(path):
+                assert step_random_walks(rng.bit_generator, [], [], table) == []
+            assert rng.bit_generator.state == before
 
     def test_mixed_stay_probabilities(self, topology):
-        scalar = np.random.default_rng(3)
-        batch = np.random.default_rng(3)
         models = [
             RandomWalk(topology, stay_probability=stay) for stay in (0.0, 0.5, 0.9)
         ] * 5
-        cells = [cell % topology.num_cells for cell in range(len(models))]
         stays = [model.stay_probability for model in models]
-        for _ in range(30):
-            expected = [model.step(cell, scalar) for model, cell in zip(models, cells)]
-            cells = step_random_walks(
-                batch.bit_generator, cells, stays, topology.neighbor_table
-            )
-            assert cells == expected
-        assert batch.bit_generator.state == scalar.bit_generator.state
+        for path in WALK_PATHS:
+            scalar = np.random.default_rng(3)
+            batch = np.random.default_rng(3)
+            cells = [cell % topology.num_cells for cell in range(len(models))]
+            for _ in range(30):
+                expected = [
+                    model.step(cell, scalar) for model, cell in zip(models, cells)
+                ]
+                with _on_path(path):
+                    cells = step_random_walks(
+                        batch.bit_generator, cells, stays, topology.neighbor_table
+                    )
+                assert cells == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [-1, 19])
+    def test_cell_off_the_topology_draws_nothing(self, topology, rng, bad):
+        before = rng.bit_generator.state
+        for path in WALK_PATHS:
+            with _on_path(path), pytest.raises(SimulationError):
+                step_random_walks(
+                    rng.bit_generator, [0, bad], [0.0, 0.0], topology.neighbor_table
+                )
+            assert rng.bit_generator.state == before
+
+    def test_stays_must_match_cells(self, topology, rng):
+        with pytest.raises(SimulationError):
+            step_random_walks(rng.bit_generator, [0, 1], [0.3], topology.neighbor_table)
+
+    def test_400_devices_from_a_buffered_half(self):
+        """The roaming workload's population size, starting mid-buffer."""
+        topology = CellTopology.hexagonal_disk(4)
+        starts = np.random.default_rng(29).integers(topology.num_cells, size=400)
+        _scalar_and_batch(
+            topology,
+            0.3,
+            [int(cell) for cell in starts],
+            100,
+            lambda: _with_buffer(29, 1, 0x9E3779B9),
+        )
+
+    def test_array_cells_give_an_array(self):
+        """The simulator's call: arrays in, the topology's CSR, an array out."""
+        topology = CellTopology.hexagonal_disk(3)
+        model = RandomWalk(topology, stay_probability=0.3)
+        cells = np.random.default_rng(4).integers(topology.num_cells, size=60)
+        scalar = np.random.default_rng(4)
+        expected = [model.step(int(cell), scalar) for cell in cells]
+        for path in WALK_PATHS:
+            batch = np.random.default_rng(4)
+            with _on_path(path):
+                moved = step_random_walks(
+                    batch.bit_generator,
+                    cells,
+                    np.full(cells.size, 0.3),
+                    topology.neighbor_table,
+                    topology.neighbor_csr,
+                )
+            assert isinstance(moved, np.ndarray) and moved.dtype == np.intp
+            assert moved.tolist() == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 class TestRandomWaypoint:
