@@ -6,7 +6,8 @@ simulator and the trace-based distribution estimator can swap them freely:
 * :class:`RandomWalk` — stay put with some probability, otherwise hop to a
   uniformly random neighboring cell.  :func:`step_random_walks` steps many
   of them in one call (in the compiled library when it loads), with the
-  same result and the same generator state as stepping them one by one.
+  same result and the same generator state as stepping them one by one;
+  :class:`BoundWalks` prepares its fixed arguments once for a whole run.
 * :class:`RandomWaypoint` — pick a random destination cell, walk a shortest
   path toward it (optionally pausing), then pick a new destination.
 * :class:`GravityMobility` — neighbor choice biased by per-cell attraction
@@ -16,6 +17,7 @@ simulator and the trace-based distribution estimator can swap them freely:
 
 from __future__ import annotations
 
+import ctypes
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,37 +74,96 @@ class RandomWalk:
 _OFF_TOPOLOGY = "a device's cell is not a cell of the topology"
 
 
+class BoundWalks:
+    """The fixed arguments of one population's repeated walk steps.
+
+    Made once for a run, it binds the generator, the ``intp`` array the
+    caller keeps the devices' cells in (and updates in place between
+    steps), their ``float64`` stay probabilities and the topology's
+    :attr:`~CellTopology.neighbor_csr`.  It reads the addresses the
+    compiled kernel takes once, so a step passed this binding as ``csr``
+    (see :func:`step_random_walks`) reads none, and writes into the one
+    reused buffer :attr:`out`, which the next step overwrites: copy the
+    result out before stepping again.
+    """
+
+    __slots__ = ("bit_generator", "cells", "stays", "csr", "out", "arguments")
+
+    def __init__(
+        self,
+        bit_generator: np.random.PCG64,
+        cells: np.ndarray,
+        stays: np.ndarray,
+        csr: Tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        for array, dtype in ((cells, np.intp), (stays, np.float64)):
+            if array.dtype != dtype or array.ndim != 1 or not array.flags.c_contiguous:
+                raise SimulationError(
+                    f"bound walks need a C-contiguous 1-D {np.dtype(dtype)} array"
+                )
+        if stays.size != cells.size:
+            raise SimulationError("need one stay probability per device")
+        offsets, flat = csr
+        self.bit_generator = bit_generator
+        self.cells = cells
+        self.stays = stays
+        self.csr = csr
+        self.out = np.empty_like(cells)
+        # ctypes objects of the declared argument types pass unconverted.
+        address, size = ctypes.c_void_p, ctypes.c_ssize_t
+        self.arguments = (
+            bit_generator.ctypes.bit_generator,
+            size(cells.size),
+            address(cells.ctypes.data),
+            address(stays.ctypes.data),
+            size(offsets.size - 1),
+            address(offsets.ctypes.data),
+            address(flat.ctypes.data),
+            address(self.out.ctypes.data),
+        )
+
+
 def step_random_walks(
     bit_generator: np.random.PCG64,
     cells: Union[Sequence[int], np.ndarray],
     stay: Union[Sequence[float], np.ndarray],
     neighbors: Sequence[Sequence[int]],
-    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    csr: Union[None, Tuple[np.ndarray, np.ndarray], BoundWalks] = None,
 ) -> Union[List[int], np.ndarray]:
     """One :class:`RandomWalk` step of every device, in one call.
 
     Device ``i`` is in ``cells[i]`` and stays with probability ``stay[i]``;
     ``neighbors`` is the topology's :attr:`~CellTopology.neighbor_table`
-    and ``csr``, when given, its :attr:`~CellTopology.neighbor_csr`.  The
-    result equals ``[walk.step(cell, rng) for ...]`` in device order on
+    and ``csr``, when given, its :attr:`~CellTopology.neighbor_csr`, or a
+    :class:`BoundWalks` made for this generator, these ``cells`` and these
+    ``stay`` arrays, which carries that CSR.  The result equals
+    ``[walk.step(cell, rng) for ...]`` in device order on
     ``rng = np.random.Generator(bit_generator)``, draw for draw, and the
     generator is left in exactly the state that loop leaves it in.  It is
-    a list, or an ``intp`` array when ``cells`` is an array.  A cell off the
-    topology, or a ``stay`` of another length, raises
+    a list, or an ``intp`` array when ``cells`` is an array (with a
+    binding, on the compiled path, its :attr:`BoundWalks.out`).  A cell off
+    the topology, or a ``stay`` of another length, raises
     :class:`~repro.errors.SimulationError` before anything is drawn.
 
-    With the compiled library (:func:`~repro.core.backends.auto_kernel`)
-    the loop runs in C on the generator's own ``next_double`` and
-    ``next_uint32``, holding ``bit_generator.lock`` as ``Generator``
-    methods do.  Without it, :func:`_emulate_random_walks` reproduces the
-    draws from raw PCG64 output, so callers must pass an exact
-    ``np.random.PCG64``.
+    With the compiled library (:func:`~repro.core.backends.auto_kernel`,
+    asked on every call) the loop runs in C on the generator's own
+    ``next_double`` and ``next_uint32``, holding ``bit_generator.lock`` as
+    ``Generator`` methods do.  Without it, :func:`_emulate_random_walks`
+    reproduces the draws from raw PCG64 output, so callers must pass an
+    exact ``np.random.PCG64``.
     """
     if len(stay) != len(cells):
         raise SimulationError("need one stay probability per device")
     as_array = isinstance(cells, np.ndarray)
     if len(cells) == 0:
         return np.empty(0, dtype=np.intp) if as_array else []
+    bound = csr if isinstance(csr, BoundWalks) else None
+    if bound is not None and (
+        bound.cells is not cells
+        or bound.stays is not stay
+        or bound.bit_generator is not bit_generator
+    ):
+        raise SimulationError("the bound walks were made for other arguments")
     kernel = auto_kernel()
     if kernel is None:
         starts = cells.tolist() if as_array else cells
@@ -115,24 +176,18 @@ def step_random_walks(
             neighbors,
         )
         return np.array(moved, dtype=np.intp) if as_array else moved
-    offsets, flat = build_neighbor_csr(neighbors) if csr is None else csr
-    starts = np.ascontiguousarray(cells, dtype=np.intp)
-    stays = np.ascontiguousarray(stay, dtype=np.float64)
-    out = np.empty(len(starts), dtype=np.intp)
-    with bit_generator.lock:
-        status = kernel.repro_step_walks(
-            bit_generator.ctypes.bit_generator,
-            len(starts),
-            starts.ctypes.data,
-            stays.ctypes.data,
-            len(offsets) - 1,
-            offsets.ctypes.data,
-            flat.ctypes.data,
-            out.ctypes.data,
+    if bound is None:
+        bound = BoundWalks(
+            bit_generator,
+            np.ascontiguousarray(cells, dtype=np.intp),
+            np.ascontiguousarray(stay, dtype=np.float64),
+            build_neighbor_csr(neighbors) if csr is None else csr,
         )
+    with bit_generator.lock:
+        status = kernel.repro_step_walks(*bound.arguments)
     if status != 0:
         raise SimulationError(_OFF_TOPOLOGY)
-    return out if as_array else out.tolist()
+    return bound.out if as_array else bound.out.tolist()
 
 
 #: ``Generator.random()`` is ``(raw >> 11) * _DOUBLE_UNIT`` of one raw draw.

@@ -43,7 +43,8 @@ have left it, so results and digests do not depend on which path ran.
 Every other population (waypoint, gravity, mixed lists, subclasses, other
 bit generators) is stepped one device at a time.  The choice is made once,
 at construction, from those inputs alone (docs/performance.md, "Batched
-movement").
+movement"), and so is the walk call's :class:`~repro.cellnet.mobility.BoundWalks`:
+the kernel's addresses, read once, and its reused output buffer.
 
 Each device's state is an entry of arrays on the simulator: its cell, the
 cell it last reported, steps since that report, and the step its active
@@ -86,7 +87,7 @@ from .engine import (
 from .faults import DEFAULT_RECOVERY, FaultInjector, FaultModel, RecoveryPolicy, ResilientPager
 from .location_areas import LocationAreaPlan
 from .metrics import CallRecord, LinkUsageMetrics
-from .mobility import MobilityModel, RandomWalk, step_random_walks
+from .mobility import BoundWalks, MobilityModel, RandomWalk, step_random_walks
 from .paging import PAGER_FACTORIES, PagingOutcome, Priors
 from .timevary import BeliefPropagator, transition_matrix
 from .reporting import (
@@ -340,6 +341,9 @@ class CellularSimulator:
         self._models = list(mobility_models)
         self._device_rows = np.arange(n)
         self._visit_counts = np.full((n, c), config.prior_smoothing, dtype=float)
+        # Device i's count of cell x is entry row_base[i] + x of the flat view.
+        self._visit_flat = self._visit_counts.reshape(-1)
+        self._row_base = self._device_rows * c
         stays = _batched_walk_stays(mobility_models, topology, rng, config.faults)
         self._walk_stays = None if stays is None else np.array(stays, dtype=float)
         cells: List[int] = []
@@ -352,10 +356,16 @@ class CellularSimulator:
             self._visit_counts[index, cell] += 1.0
             self._registry.register(index, plan.area_of(cell), cell, time=0)
             self._metrics.record_registration()
-        self._cells = np.array(cells, dtype=int)
+        # Updated in place, so the bound walk kernel reads it where it is.
+        self._cells = np.array(cells, dtype=np.intp)
         self._last_reported = self._cells.copy()
         self._since_report = np.zeros(n, dtype=int)
         self._busy_until = np.zeros(n, dtype=int)
+        #: the largest entry of ``_busy_until``: no call is active from then on
+        self._busy_watermark = 0
+        self._walk_bound = None if self._walk_stays is None else BoundWalks(
+            rng.bit_generator, self._cells, self._walk_stays, topology.neighbor_csr
+        )
 
     # ------------------------------------------------------------------
     def _build_policy(self) -> ReportingPolicy:
@@ -461,30 +471,35 @@ class CellularSimulator:
         mid-call handovers confirm the new cell, every other mover loses
         its fix, the policy decides all reports at once, and the reporters'
         updates reach the registry (unless lost under fault injection).
+        The new cells are copied into ``_cells`` last, in place: the bound
+        walk kernel reads them there, and its output buffer is reused.
         """
         old = self._cells
         delivered: Optional[np.ndarray] = None
-        if self._walk_stays is not None:
+        if self._walk_bound is not None:
             new = step_random_walks(
                 self._rng.bit_generator,
                 old,
                 self._walk_stays,
                 self._topology.neighbor_table,
-                self._topology.neighbor_csr,
+                self._walk_bound,
             )
         else:
             new, delivered = self._step_devices(time)
         self._since_report += 1
         moved = new != old
-        busy = moved & (time < self._busy_until)
         areas = self._plan.area_table
         registry = self._registry
-        # Mid-call handover: the base stations track the device, so the
-        # system's fix stays exact (paper Section 1.1).
-        for device in np.flatnonzero(busy).tolist():
-            cell = int(new[device])
-            registry.confirm(device, cell, int(areas[cell]), time)
-        registry.invalidate_confirmation(np.flatnonzero(moved & ~busy))
+        if time < self._busy_watermark:
+            busy = moved & (time < self._busy_until)
+            # Mid-call handover: the base stations track the device, so the
+            # system's fix stays exact (paper Section 1.1).
+            for device in np.flatnonzero(busy).tolist():
+                cell = new.item(device)
+                registry.confirm(device, cell, areas.item(cell), time)
+            moved ^= busy
+        if registry.holds_fixes:
+            registry.invalidate_confirmation(np.flatnonzero(moved))
         reports = self._policy.should_report(
             MoveContext(
                 self._device_rows,
@@ -505,9 +520,10 @@ class CellularSimulator:
         if delivered is not None:
             reporters = reporters[delivered[reporters]]
         cells = new[reporters]
-        registry.report(reporters.tolist(), areas[cells].tolist(), cells.tolist(), time)
-        self._cells = new
-        self._visit_counts[self._device_rows, new] += 1.0
+        registry.report(reporters, areas[cells], cells, time)
+        # One add per row, so the flat index adds exactly what the 2-D one did.
+        self._visit_flat[self._row_base + new] += 1.0
+        self._cells[...] = new
 
     def _call_inputs(
         self, request: ConferenceCallRequest
@@ -574,9 +590,7 @@ class CellularSimulator:
                 actual, cell, self._plan.area_of(cell), request.time
             )
             if duration:
-                self._busy_until[actual] = max(
-                    self._busy_until[actual], request.time + duration
-                )
+                self._mark_busy(actual, request.time + duration)
         self._metrics.record_call(
             CallRecord(
                 time=request.time,
@@ -698,8 +712,13 @@ class CellularSimulator:
             self._rng.geometric(1.0 / self._config.mean_call_duration)
         )
         for local in sorted(call.found_cells):
-            device = call.request.participants[local]
-            self._busy_until[device] = max(self._busy_until[device], time + duration)
+            self._mark_busy(call.request.participants[local], time + duration)
+
+    def _mark_busy(self, device: int, until: int) -> None:
+        """The device is on a call until step ``until`` (exclusive)."""
+        if until > self._busy_until[device]:
+            self._busy_until[device] = until
+            self._busy_watermark = max(self._busy_watermark, until)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationReport:

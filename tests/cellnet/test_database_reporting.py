@@ -63,6 +63,20 @@ class TestRegistry:
         with pytest.raises(SimulationError, match="registered"):
             registry.invalidate_confirmation(4)
 
+    @pytest.mark.parametrize(
+        "devices", [[7], [0, 7], np.array([1, 7, 0]), (-1,)], ids=str
+    )
+    def test_invalidate_many_rejects_unknown_device_before_any_change(
+        self, devices
+    ):
+        registry = LocationRegistry()
+        for device in range(3):
+            registry.register(device, area=0, cell=device, time=0)
+            registry.confirm(device, cell=4, area=1, time=1)
+        with pytest.raises(SimulationError, match="registered"):
+            registry.invalidate_confirmation(devices)
+        assert [registry.lookup(d).confirmed_cell for d in range(3)] == [4, 4, 4]
+
     def test_unknown_device_rejected(self):
         registry = LocationRegistry()
         with pytest.raises(SimulationError, match="registered"):

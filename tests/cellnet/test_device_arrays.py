@@ -181,7 +181,10 @@ def test_array_pass_equals_per_device_loop(movement, reporting, fault, duration)
             for device in arrays.registry.known_devices()
             if arrays.registry.lookup(device).confirmed_cell is not None
         }
-        assert arrays.registry._confirmed == confirmed  # noqa: SLF001
+        # The registry's confirmed-cell column agrees with its records.
+        column = arrays.registry._confirmed_cell  # noqa: SLF001
+        assert set(np.flatnonzero(column != -1).tolist()) == confirmed
+        assert arrays.registry.holds_fixes == bool(confirmed)
     assert arrays.metrics.calls_handled > 0
     if duration:
         assert reference.handovers > 0

@@ -14,6 +14,7 @@ from repro.cellnet import (
     stationary_distribution,
     step_random_walks,
 )
+from repro.cellnet.mobility import BoundWalks
 from repro.core import compiled_available
 from repro.errors import SimulationError
 
@@ -235,6 +236,53 @@ class TestStepRandomWalks:
             assert isinstance(moved, np.ndarray) and moved.dtype == np.intp
             assert moved.tolist() == expected
             assert batch.bit_generator.state == scalar.bit_generator.state
+
+    def test_bound_walks_step_the_cells_in_place(self):
+        """The simulator's call: arguments bound once, cells copied back."""
+        topology = CellTopology.hexagonal_disk(3)
+        model = RandomWalk(topology, stay_probability=0.3)
+        start = np.random.default_rng(6).integers(topology.num_cells, size=50)
+        for path in WALK_PATHS:
+            scalar = np.random.default_rng(6)
+            batch = np.random.default_rng(6)
+            expected = start.tolist()
+            cells = start.astype(np.intp)
+            stays = np.full(cells.size, 0.3)
+            bound = BoundWalks(
+                batch.bit_generator, cells, stays, topology.neighbor_csr
+            )
+            for _ in range(20):
+                expected = [model.step(cell, scalar) for cell in expected]
+                with _on_path(path):
+                    moved = step_random_walks(
+                        batch.bit_generator,
+                        cells,
+                        stays,
+                        topology.neighbor_table,
+                        bound,
+                    )
+                assert moved.tolist() == expected
+                cells[...] = moved
+            assert batch.bit_generator.state == scalar.bit_generator.state
+
+    def test_bound_walks_reject_other_arguments(self, topology, rng):
+        cells = np.zeros(3, dtype=np.intp)
+        stays = np.full(3, 0.3)
+        bound = BoundWalks(rng.bit_generator, cells, stays, topology.neighbor_csr)
+        before = rng.bit_generator.state
+        table = topology.neighbor_table
+        for other in (cells.copy(), cells.tolist()):
+            with pytest.raises(SimulationError, match="other arguments"):
+                step_random_walks(rng.bit_generator, other, stays, table, bound)
+        cells[1] = 19
+        for path in WALK_PATHS:
+            with _on_path(path), pytest.raises(SimulationError):
+                step_random_walks(rng.bit_generator, cells, stays, table, bound)
+        assert rng.bit_generator.state == before
+        with pytest.raises(SimulationError):
+            BoundWalks(rng.bit_generator, cells.astype(np.int32), stays, bound.csr)
+        with pytest.raises(SimulationError):
+            BoundWalks(rng.bit_generator, cells, stays[:2], bound.csr)
 
 
 class TestRandomWaypoint:

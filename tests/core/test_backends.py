@@ -10,6 +10,7 @@ from repro.core.backends import (
     BACKENDS,
     BackendUnavailableError,
     _object_digest,
+    auto_kernel,
     available_backends,
     compiled_available,
     load_compiled,
@@ -83,6 +84,18 @@ class TestDisableCompiled:
         monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
         with pytest.raises(BackendUnavailableError):
             resolve_backend("compiled")
+
+    def test_auto_kernel_follows_each_flip_between_calls(self, monkeypatch):
+        # The switch is read on every call, in both directions.
+        monkeypatch.delenv("REPRO_DISABLE_COMPILED", raising=False)
+        unset = auto_kernel()
+        assert (unset is not None) == compiled_available()
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+        assert auto_kernel() is None
+        monkeypatch.delenv("REPRO_DISABLE_COMPILED")
+        assert auto_kernel() is unset
+        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+        assert auto_kernel() is None
 
 
 class TestObjectDigest:
