@@ -10,10 +10,7 @@ from __future__ import annotations
 from .calls import ARRIVAL_MODES, ConferenceCallRequest, PoissonConferenceCalls
 from .database import LocationRegistry, RegistryRecord
 from .engine import (
-    EVENT_PRIORITIES,
-    ChannelResource,
     ChannelScheduler,
-    Event,
     EventEngine,
     PendingCall,
     plan_pending_call,
@@ -98,7 +95,6 @@ from .topology import CellTopology
 __all__ = [
     "ARRIVAL_MODES",
     "DEFAULT_RECOVERY",
-    "EVENT_PRIORITIES",
     "HEX_DIRECTIONS",
     "PAGER_FACTORIES",
     "AdaptivePager",
@@ -110,13 +106,11 @@ __all__ = [
     "CallRecord",
     "CellOutage",
     "CellTopology",
-    "ChannelResource",
     "ChannelScheduler",
     "CostAwarePager",
     "CellularSimulator",
     "ConferenceCallRequest",
     "DistanceReport",
-    "Event",
     "EventEngine",
     "FaultInjector",
     "FaultModel",

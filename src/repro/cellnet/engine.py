@@ -1,43 +1,40 @@
-"""The event-driven contention engine: shared per-cell paging channels.
+"""The simulator's step loop and the shared per-cell paging channels.
 
 The paper's bandwidth-limited variant (Section 5) caps a *single* call at
 ``b`` cells per round.  Under heavy traffic the cap is a property of the
 network, not the call: every concurrent conference-call setup competes for
 the same ``b`` paging slots per round on each cell's channel (and a cell
-may carry ``k`` parallel paging carriers, Mostafa et al., PAPERS.md).  This
-module turns the time-stepped :class:`~repro.cellnet.simulator.CellularSimulator`
-loop into an event-driven engine where that sharing is first-class:
+may carry ``k`` parallel paging carriers, Mostafa et al., PAPERS.md).  The
+system is time-stepped (paper Section 1.1), and this module runs it so:
 
-* :class:`EventEngine` — a priority queue of typed :class:`Event` records
-  (``movement``, ``arrival``, ``paging-round``, ``retry``, ``outage-start``,
-  ``outage-end``) dispatched to pluggable handlers in deterministic
-  ``(time, priority, seq)`` order.  Determinism is the contract: every rng
-  draw happens inside a handler, and handler order is a pure function of
-  the schedule, so same-seed runs are bit-identical.
-* :class:`ChannelResource` — the shared capacity: ``capacity`` page slots
-  per round per cell, multiplied by ``carriers`` parallel paging channels.
-  Scheduled cell outages take a cell's channel down entirely (zero slots),
-  so congestion and faults interact instead of living in separate patches.
-* :class:`ChannelScheduler` — the call lifecycle under contention: calls
-  are admitted FIFO, page their planned strategy group by group, *stretch*
-  a round over steps when slots run out, defer when fully starved, retry
-  through the same queue after fault losses (a retry competes for slots
-  like a fresh page), fall back to a network sweep for mislaid devices,
-  and **block** when starved longer than ``max_wait`` steps — the quantity
-  heavy-traffic provisioning is judged on (blocking probability vs offered
-  load vs carriers, experiment E29).
+* :class:`EventEngine` — the fixed step loop of
+  :class:`~repro.cellnet.simulator.CellularSimulator`.  Each step
+  ``1..horizon`` runs movement, then the step's call arrivals, then, under
+  contention, the shared paging round.  Every rng draw happens inside one
+  of those phases, in that order, so same-seed runs are bit-identical.
+* :class:`ChannelScheduler` — the call lifecycle under contention and the
+  one ledger of per-cell page slots: ``capacity * carriers`` slots per
+  cell per round, reset each round, none on a cell whose scheduled outage
+  is active at that step.  Calls are admitted FIFO, page their planned
+  strategy group by group, *stretch* a round over steps when slots run
+  out, defer when fully starved, retry after fault losses (a retry waits
+  out its backoff, then competes for slots like a fresh page), fall back
+  to a network sweep for mislaid devices, and **block** when starved
+  longer than ``max_wait`` steps — the quantity heavy-traffic provisioning
+  is judged on (blocking probability vs offered load vs carriers,
+  experiment E29).
 
 The legacy path is the other half of the contract: with
-``channel_capacity=None`` the engine schedules exactly the step loop the
-simulator used to run — one ``movement`` event then one ``arrival`` event
-per step, calls handled synchronously inside the arrival handler — so
-every pre-existing configuration (faults, priors, recovery included)
-replays **bit-identically**: same rng stream, same reports
-(``tests/cellnet/test_legacy_equivalence.py`` pins it against golden
-summaries recorded from the pre-engine loop).
+``channel_capacity=None`` the loop runs movement then arrivals each step,
+calls handled synchronously as they arrive, exactly the step loop the
+simulator always ran, so every pre-existing configuration (faults, priors,
+recovery included) replays **bit-identically**: same rng stream, same
+reports (``tests/cellnet/test_legacy_equivalence.py`` pins it against
+golden summaries).
 
 Observability: the engine emits an ``engine.*`` event family through the
-active :mod:`repro.obs` tracer — ``engine.events.<kind>`` counters,
+active :mod:`repro.obs` tracer — ``engine.events.<kind>`` counters (how
+often each phase of the loop ran, see :data:`MOVEMENT` and its siblings),
 ``engine.queue_depth`` and ``engine.slot_occupancy`` histograms, and
 ``engine.pages_sent`` / ``engine.deferred_steps`` / ``engine.blocked_calls``
 counters (docs/contention.md walks through a trace).
@@ -45,192 +42,74 @@ counters (docs/contention.md walks through a trace).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..obs.events import current_tracer
 from .calls import ConferenceCallRequest
-from .faults import FaultInjector, RecoveryPolicy
+from .faults import CellOutage, FaultInjector, RecoveryPolicy
 from .metrics import CallRecord, LinkUsageMetrics
 from .paging import Pager, Priors, build_sub_instance
 
-# Event kinds, in within-step dispatch order.  Outage transitions flip the
-# channel state before anything else looks at it; movement (which carries
-# the reporting/registration-renewal messages) precedes arrivals, exactly
-# as in the legacy step loop; the shared paging round runs last so it sees
-# the step's arrivals.
+# The phases of one step, named as the ``engine.events.<kind>`` counters
+# of a traced run count them.  A step runs movement (with the reporting
+# and registration-renewal messages), then arrivals, then the retries
+# whose backoff ends this step, then the shared paging round.  Outage
+# starts and ends are counted at the step they take effect; the round
+# reads which cells are down from the fault model itself.
 OUTAGE_START = "outage-start"
 OUTAGE_END = "outage-end"
 MOVEMENT = "movement"
 ARRIVAL = "arrival"
-PAGING_ROUND = "paging-round"
 RETRY = "retry"
-
-EVENT_PRIORITIES: Dict[str, int] = {
-    OUTAGE_START: 0,
-    OUTAGE_END: 1,
-    MOVEMENT: 2,
-    ARRIVAL: 3,
-    RETRY: 4,
-    PAGING_ROUND: 5,
-}
-
-
-class _EventFields(NamedTuple):
-    time: int
-    kind: str
-    payload: object = None
-
-
-class Event(_EventFields):
-    """One typed occurrence in simulated time (an immutable record).
-
-    A named tuple checked in ``__new__``: the simulator builds two or three
-    per step, and this costs a fraction of a frozen dataclass's
-    ``__init__`` plus ``__post_init__``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, time: int, kind: str, payload: object = None) -> "Event":
-        if kind not in EVENT_PRIORITIES:
-            raise SimulationError(f"unknown event kind {kind!r}")
-        if time < 0:
-            raise SimulationError("event time must be non-negative")
-        return tuple.__new__(cls, (time, kind, payload))
+PAGING_ROUND = "paging-round"
 
 
 class EventEngine:
-    """A deterministic discrete-event queue with per-kind handlers.
+    """The simulator's fixed step loop.
 
-    Events are dispatched in ``(time, kind priority, insertion seq)``
-    order; the insertion sequence breaks ties so two events of the same
-    kind at the same time run in the order they were scheduled.  Handlers
-    may schedule further events (at the current time or later).
+    Each step ``1..horizon`` calls ``movement(time)``, then
+    ``arrivals(time)``, then, with a ``scheduler``, its
+    :meth:`ChannelScheduler.serve_round`, which first re-queues the calls
+    whose retry backoff ends at that step.  ``outages`` are only counted:
+    a traced run reports each window's start and end that falls inside
+    the horizon.
     """
 
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int, Event]] = []
-        self._seq = itertools.count()
-        self._handlers: Dict[str, Callable[[Event], None]] = {}
-        self._dispatched = 0
-        self.now = 0
-
-    def on(self, kind: str, handler: Callable[[Event], None]) -> None:
-        """Register the handler for one event kind (last wins)."""
-        if kind not in EVENT_PRIORITIES:
-            raise SimulationError(f"unknown event kind {kind!r}")
-        self._handlers[kind] = handler
-
-    def schedule(self, event: Event) -> None:
-        """Enqueue one event; events never run before the current time."""
-        if event.time < self.now:
-            raise SimulationError(
-                f"cannot schedule {event.kind!r} at t={event.time} "
-                f"(engine is at t={self.now})"
-            )
-        heapq.heappush(
-            self._heap,
-            (event.time, EVENT_PRIORITIES[event.kind], next(self._seq), event),
-        )
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._heap)
-
-    @property
-    def events_dispatched(self) -> int:
-        return self._dispatched
+    def __init__(
+        self,
+        movement: Callable[[int], None],
+        arrivals: Callable[[int], None],
+        scheduler: Optional[ChannelScheduler] = None,
+        outages: Sequence[CellOutage] = (),
+    ) -> None:
+        self._movement = movement
+        self._arrivals = arrivals
+        self._scheduler = scheduler
+        self._outages = outages
 
     def run(self, horizon: int) -> None:
-        """Dispatch every event with ``time <= horizon`` in order."""
+        """Run steps ``1..horizon`` in order."""
+        movement = self._movement
+        arrivals = self._arrivals
+        scheduler = self._scheduler
+        for time in range(1, horizon + 1):
+            movement(time)
+            arrivals(time)
+            if scheduler is not None:
+                scheduler.serve_round(time)
         tracer = current_tracer()
-        while self._heap and self._heap[0][0] <= horizon:
-            _, _, _, event = heapq.heappop(self._heap)
-            self.now = event.time
-            handler = self._handlers.get(event.kind)
-            if handler is None:
-                raise SimulationError(f"no handler for event kind {event.kind!r}")
-            self._dispatched += 1
-            if tracer.enabled:
-                tracer.count(f"engine.events.{event.kind}")
-            handler(event)
-
-
-class ChannelResource:
-    """Per-cell paging-channel capacity, shared by every concurrent call.
-
-    Each cell offers ``capacity * carriers`` page slots per round (one
-    round = one engine time step): ``capacity`` slots per carrier, ``k``
-    parallel carriers per cell (Mostafa et al.'s multi-carrier paging
-    capacity).  A cell inside a scheduled outage offers zero slots — its
-    channel is down, so congestion and outages compound instead of being
-    independent failure modes.
-    """
-
-    def __init__(self, num_cells: int, capacity: int, carriers: int = 1) -> None:
-        if num_cells < 1:
-            raise SimulationError("ChannelResource needs at least one cell")
-        if capacity < 1:
-            raise SimulationError("channel capacity must be at least 1 slot")
-        if carriers < 1:
-            raise SimulationError("carriers must be at least 1")
-        self.num_cells = num_cells
-        self.capacity = capacity
-        self.carriers = carriers
-        self.slots_per_cell = capacity * carriers
-        self._used = [0] * num_cells
-        self._down: Set[int] = set()
-        self._closed: Set[int] = set()
-
-    @property
-    def closed(self) -> Set[int]:
-        """Cells that refuse every page this round: down, or out of slots.
-
-        The live set, maintained by :meth:`acquire`, :meth:`begin_round`
-        and :meth:`set_down`; read it, do not modify it.
-        """
-        return self._closed
-
-    def begin_round(self) -> None:
-        """Reset every cell's slot count for a new round (time step)."""
-        self._used = [0] * self.num_cells
-        self._closed = set(self._down)
-
-    def set_down(self, cell: int, down: bool) -> None:
-        if down:
-            self._down.add(cell)
-            self._closed.add(cell)
-        else:
-            self._down.discard(cell)
-            if self._used[cell] < self.slots_per_cell:
-                self._closed.discard(cell)
-
-    def is_down(self, cell: int) -> bool:
-        return cell in self._down
-
-    def acquire(self, cell: int) -> bool:
-        """Take one page slot on ``cell`` this round, if any remains."""
-        if cell in self._closed:
-            return False
-        self._used[cell] += 1
-        if self._used[cell] >= self.slots_per_cell:
-            self._closed.add(cell)
-        return True
-
-    def used(self, cell: int) -> int:
-        return self._used[cell]
-
-    @property
-    def used_total(self) -> int:
-        return sum(self._used)
-
-    def occupancy_snapshot(self) -> List[int]:
-        """Slots used per cell this round (for the occupancy histogram)."""
-        return list(self._used)
+        if tracer.enabled and horizon > 0:
+            tracer.count(f"engine.events.{MOVEMENT}", horizon)
+            tracer.count(f"engine.events.{ARRIVAL}", horizon)
+            if scheduler is not None:
+                tracer.count(f"engine.events.{PAGING_ROUND}", horizon)
+            for outage in self._outages:
+                if outage.start <= horizon:
+                    tracer.count(f"engine.events.{OUTAGE_START}")
+                if outage.end <= horizon:
+                    tracer.count(f"engine.events.{OUTAGE_END}")
 
 
 # Phases of a pending call's page schedule, in escalation order.
@@ -264,15 +143,25 @@ class PendingCall:
     used_fallback: bool = False
     #: index of the phase being paged; ``len(phases)`` once all are spent
     phase_index: int = 0
+    #: the step a call parked on a retry backoff pages again
+    retry_at: int = 0
 
 
 class ChannelScheduler:
-    """Serves pending calls against the shared :class:`ChannelResource`.
+    """Serves pending calls against the shared per-cell paging channels.
+
+    Each cell offers ``capacity * carriers`` page slots per round (one
+    round = one step): ``capacity`` slots per carrier, ``carriers``
+    parallel paging carriers per cell (Mostafa et al.'s multi-carrier
+    paging capacity).  A cell whose scheduled outage (the injector's
+    :class:`~repro.cellnet.faults.CellOutage` windows) is active at the
+    round's step offers none, so congestion and outages compound instead
+    of being independent failure modes.
 
     Calls are served in FIFO admission order each paging round.  A call
-    pages as many cells of its current group as it can acquire slots for;
+    pages as many cells of its current group as it can take slots for;
     a group short of slots *stretches* into the next round; a call that
-    acquires nothing in a round is *deferred* (starved), and a call starved
+    takes nothing in a round is *deferred* (starved), and a call starved
     more than ``max_wait`` rounds in total is *blocked* and dropped — the
     blocking-probability numerator.  Devices keep moving while a call is
     in setup, so answers are judged against each device's position at the
@@ -283,9 +172,11 @@ class ChannelScheduler:
 
     def __init__(
         self,
-        resource: ChannelResource,
         metrics: LinkUsageMetrics,
         *,
+        num_cells: int,
+        capacity: int,
+        carriers: int = 1,
         max_wait: int,
         device_cells: Callable[[], Sequence[int]],
         on_found: Callable[[int, int, int], None],
@@ -293,8 +184,16 @@ class ChannelScheduler:
         recovery: Optional[RecoveryPolicy] = None,
         on_complete: Optional[Callable[[PendingCall, int], None]] = None,
     ) -> None:
-        self._resource = resource
+        if num_cells < 1:
+            raise SimulationError("the paging channels need at least one cell")
+        if capacity < 1:
+            raise SimulationError("channel capacity must be at least 1 slot")
+        if carriers < 1:
+            raise SimulationError("carriers must be at least 1")
         self._metrics = metrics
+        self._num_cells = num_cells
+        self._slots = capacity * carriers
+        self._outages = () if injector is None else injector.model.outages
         self._max_wait = max_wait
         self._device_cells = device_cells
         self._on_found = on_found
@@ -302,26 +201,23 @@ class ChannelScheduler:
         self._recovery = recovery
         self._on_complete = on_complete
         self._queue: List[PendingCall] = []
-        #: calls parked on a retry backoff (their RETRY event is in flight),
-        #: by ``id``, in the order they were parked
-        self._awaiting_retry: Dict[int, PendingCall] = {}
+        #: calls waiting out a retry backoff, in the order they were parked
+        self._parked: List[PendingCall] = []
 
     @property
     def active_calls(self) -> int:
-        return len(self._queue) + len(self._awaiting_retry)
+        return len(self._queue) + len(self._parked)
 
     def admit(self, call: PendingCall) -> None:
         self._queue.append(call)
         self._metrics.record_offered_call()
 
-    def _park_for_retry(
-        self, call: PendingCall, time: int, engine: EventEngine
-    ) -> bool:
-        """Schedule a re-page of the candidate set, if the policy allows one.
+    def _park_for_retry(self, call: PendingCall, time: int) -> bool:
+        """Park the call for a re-page of its candidate set, if allowed.
 
-        Retries run as engine ``retry`` events after their backoff wait, so
-        a retry *competes for slots like a fresh page* when it fires; the
-        call waits outside the queue until then.
+        The call waits outside the queue until its backoff ends, then
+        :meth:`on_retry` re-queues it, so a retry *competes for slots like
+        a fresh page*.
         """
         if (
             self._injector is None
@@ -330,9 +226,8 @@ class ChannelScheduler:
         ):
             return False
         call.retries_used += 1
-        wait = self._recovery.backoff(call.retries_used)
-        self._awaiting_retry[id(call)] = call
-        engine.schedule(Event(time + wait, RETRY, call))
+        call.retry_at = time + self._recovery.backoff(call.retries_used)
+        self._parked.append(call)
         return True
 
     def _add_fallback(self, call: PendingCall) -> bool:
@@ -345,21 +240,20 @@ class ChannelScheduler:
         if call.used_fallback:
             return False
         call.used_fallback = True
-        call.phases.append(
-            _Phase(PHASE_FALLBACK, list(range(self._resource.num_cells)))
-        )
+        call.phases.append(_Phase(PHASE_FALLBACK, list(range(self._num_cells))))
         return True
 
-    def on_retry(self, event: Event, engine: EventEngine) -> None:
-        """A backoff wait ended: re-admit the call with a re-page phase."""
-        call = event.payload
-        assert isinstance(call, PendingCall)
-        del self._awaiting_retry[id(call)]
-        if not call.remaining:  # everyone answered before the retry fired
-            self._complete(call, event.time)
-            return
+    def on_retry(self, call: PendingCall, time: int) -> None:
+        """A backoff wait ended: re-queue the call with a re-page phase.
+
+        A parked call is out of the queue, so nobody can answer it while
+        it waits: it always still has someone to find.
+        """
         call.phases.append(_Phase(PHASE_RETRY, list(call.candidate_cells)))
         self._queue.append(call)
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.count(f"engine.events.{RETRY}")
 
     def _complete(self, call: PendingCall, time: int) -> None:
         if self._on_complete is not None:
@@ -392,21 +286,28 @@ class ChannelScheduler:
         if tracer.enabled:
             tracer.count("engine.blocked_calls")
 
-    def serve_round(self, time: int, engine: EventEngine) -> None:
+    def serve_round(self, time: int) -> None:
         """One shared paging round: every pending call, FIFO, slot-limited.
 
-        A call pages the cells of its current phase in order, skipping
-        closed ones, until everyone has answered.  Each page takes a slot
-        straight from the resource's per-cell counts, as
-        :meth:`ChannelResource.acquire` would.  The cells of a call's
-        unfound participants are looked up at its first page of the round,
-        and the participants a page finds answer in ascending local order.
+        The calls whose retry backoff ends at ``time`` rejoin the queue
+        first, in the order they were parked.  A call pages the cells of
+        its current phase in order, skipping closed ones (down at ``time``
+        or out of slots this round), until everyone has answered; each page
+        takes one of its cell's slots.  The cells of a call's unfound
+        participants are looked up at its first page of the round, and the
+        participants a page finds answer in ascending local order.
         """
-        resource = self._resource
-        resource.begin_round()
-        closed = resource.closed
-        used = resource._used
-        slots = resource.slots_per_cell
+        if self._parked:
+            waiting: List[PendingCall] = []
+            due: List[PendingCall] = []
+            for call in self._parked:
+                (due if call.retry_at <= time else waiting).append(call)
+            self._parked = waiting
+            for call in due:
+                self.on_retry(call, time)
+        closed = {outage.cell for outage in self._outages if outage.active(time)}
+        used = [0] * self._num_cells
+        slots = self._slots
         injector = self._injector
         on_found = self._on_found
         record_deferred = self._metrics.record_deferred_step
@@ -477,7 +378,7 @@ class ChannelScheduler:
             if not phase.pending:
                 call.phase_index = index = index + 1
                 if index >= len(phases):
-                    if self._park_for_retry(call, time, engine):
+                    if self._park_for_retry(call, time):
                         continue
                     if not self._add_fallback(call):
                         finished.append(call)  # degraded: budget exhausted
@@ -498,16 +399,16 @@ class ChannelScheduler:
     def drain(self, time: int) -> None:
         """Horizon reached: complete whatever is still in flight, degraded.
 
-        Covers the FIFO queue *and* calls parked on a retry backoff whose
-        ``retry`` event falls past the horizon — every offered call ends
-        as exactly one completed or blocked call.
+        Covers the FIFO queue *and* calls parked on a retry backoff that
+        ends past the horizon — every offered call ends as exactly one
+        completed or blocked call.
         """
         for call in self._queue:
             self._complete(call, time)
         self._queue.clear()
-        for call in self._awaiting_retry.values():
+        for call in self._parked:
             self._complete(call, time)
-        self._awaiting_retry.clear()
+        self._parked.clear()
 
 
 def plan_pending_call(

@@ -7,7 +7,8 @@ simulator and the trace-based distribution estimator can swap them freely:
   uniformly random neighboring cell.  :func:`step_random_walks` steps many
   of them in one call (in the compiled library when it loads), with the
   same result and the same generator state as stepping them one by one;
-  :class:`BoundWalks` prepares its fixed arguments once for a whole run.
+  :class:`BoundWalks` binds those arguments once for a whole run and
+  steps them with :meth:`BoundWalks.step`.
 * :class:`RandomWaypoint` — pick a random destination cell, walk a shortest
   path toward it (optionally pausing), then pick a new destination.
 * :class:`GravityMobility` — neighbor choice biased by per-cell attraction
@@ -41,7 +42,7 @@ class RandomWalk:
     One step draws ``rng.random()`` and, when the device moves to one of
     ``k >= 2`` neighbors, ``rng.integers(k)``.  The simulator steps a
     population of exact ``RandomWalk`` instances through
-    :func:`step_random_walks`, which reproduces those draws without calling
+    :meth:`BoundWalks.step`, which reproduces those draws without calling
     :meth:`step`; a subclass that overrides :meth:`step` is stepped one
     device at a time.
     """
@@ -75,16 +76,15 @@ _OFF_TOPOLOGY = "a device's cell is not a cell of the topology"
 
 
 class BoundWalks:
-    """The fixed arguments of one population's repeated walk steps.
+    """One population's repeated walk steps, with their arguments bound.
 
     Made once for a run, it binds the generator, the ``intp`` array the
     caller keeps the devices' cells in (and updates in place between
     steps), their ``float64`` stay probabilities and the topology's
     :attr:`~CellTopology.neighbor_csr`.  It reads the addresses the
-    compiled kernel takes once, so a step passed this binding as ``csr``
-    (see :func:`step_random_walks`) reads none, and writes into the one
-    reused buffer :attr:`out`, which the next step overwrites: copy the
-    result out before stepping again.
+    compiled kernel takes once, so :meth:`step` reads none, and each step
+    writes into the one reused buffer :attr:`out`, which the next step
+    overwrites: copy the result out before stepping again.
     """
 
     __slots__ = ("bit_generator", "cells", "stays", "csr", "out", "arguments")
@@ -122,72 +122,68 @@ class BoundWalks:
             address(self.out.ctypes.data),
         )
 
+    def step(self) -> np.ndarray:
+        """One :class:`RandomWalk` step of every bound device, into :attr:`out`.
+
+        Device ``i`` is in ``cells[i]`` and stays with probability
+        ``stays[i]``.  The result equals ``[walk.step(cell, rng) for ...]``
+        in device order on ``rng = np.random.Generator(bit_generator)``,
+        draw for draw, and the generator is left in exactly the state that
+        loop leaves it in.  A cell off the topology raises
+        :class:`~repro.errors.SimulationError` before anything is drawn.
+
+        With the compiled library (:func:`~repro.core.backends.auto_kernel`,
+        asked on every step) the loop runs in C on the generator's own
+        ``next_double`` and ``next_uint32``, holding ``bit_generator.lock``
+        as ``Generator`` methods do.  Without it,
+        :func:`_emulate_random_walks` reproduces the draws from raw PCG64
+        output, so the generator must be an exact ``np.random.PCG64``.
+        """
+        kernel = auto_kernel()
+        if kernel is None:
+            starts = self.cells.tolist()
+            if starts and (min(starts) < 0 or max(starts) >= self.csr[0].size - 1):
+                raise SimulationError(_OFF_TOPOLOGY)
+            self.out[...] = _emulate_random_walks(
+                self.bit_generator, starts, self.stays.tolist(), self.csr
+            )
+            return self.out
+        with self.bit_generator.lock:
+            status = kernel.repro_step_walks(*self.arguments)
+        if status != 0:
+            raise SimulationError(_OFF_TOPOLOGY)
+        return self.out
+
 
 def step_random_walks(
     bit_generator: np.random.PCG64,
     cells: Union[Sequence[int], np.ndarray],
     stay: Union[Sequence[float], np.ndarray],
     neighbors: Sequence[Sequence[int]],
-    csr: Union[None, Tuple[np.ndarray, np.ndarray], BoundWalks] = None,
+    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Union[List[int], np.ndarray]:
     """One :class:`RandomWalk` step of every device, in one call.
 
     Device ``i`` is in ``cells[i]`` and stays with probability ``stay[i]``;
     ``neighbors`` is the topology's :attr:`~CellTopology.neighbor_table`
-    and ``csr``, when given, its :attr:`~CellTopology.neighbor_csr`, or a
-    :class:`BoundWalks` made for this generator, these ``cells`` and these
-    ``stay`` arrays, which carries that CSR.  The result equals
-    ``[walk.step(cell, rng) for ...]`` in device order on
-    ``rng = np.random.Generator(bit_generator)``, draw for draw, and the
-    generator is left in exactly the state that loop leaves it in.  It is
-    a list, or an ``intp`` array when ``cells`` is an array (with a
-    binding, on the compiled path, its :attr:`BoundWalks.out`).  A cell off
-    the topology, or a ``stay`` of another length, raises
+    and ``csr``, when given, its :attr:`~CellTopology.neighbor_csr`.  The
+    step is :meth:`BoundWalks.step` on a binding made for this one call,
+    with its draws and its errors.  The result is a list, or an ``intp``
+    array when ``cells`` is an array.  A ``stay`` of another length raises
     :class:`~repro.errors.SimulationError` before anything is drawn.
-
-    With the compiled library (:func:`~repro.core.backends.auto_kernel`,
-    asked on every call) the loop runs in C on the generator's own
-    ``next_double`` and ``next_uint32``, holding ``bit_generator.lock`` as
-    ``Generator`` methods do.  Without it, :func:`_emulate_random_walks`
-    reproduces the draws from raw PCG64 output, so callers must pass an
-    exact ``np.random.PCG64``.
     """
     if len(stay) != len(cells):
         raise SimulationError("need one stay probability per device")
     as_array = isinstance(cells, np.ndarray)
     if len(cells) == 0:
         return np.empty(0, dtype=np.intp) if as_array else []
-    bound = csr if isinstance(csr, BoundWalks) else None
-    if bound is not None and (
-        bound.cells is not cells
-        or bound.stays is not stay
-        or bound.bit_generator is not bit_generator
-    ):
-        raise SimulationError("the bound walks were made for other arguments")
-    kernel = auto_kernel()
-    if kernel is None:
-        starts = cells.tolist() if as_array else cells
-        if min(starts) < 0 or max(starts) >= len(neighbors):
-            raise SimulationError(_OFF_TOPOLOGY)
-        moved = _emulate_random_walks(
-            bit_generator,
-            starts,
-            stay.tolist() if isinstance(stay, np.ndarray) else stay,
-            neighbors,
-        )
-        return np.array(moved, dtype=np.intp) if as_array else moved
-    if bound is None:
-        bound = BoundWalks(
-            bit_generator,
-            np.ascontiguousarray(cells, dtype=np.intp),
-            np.ascontiguousarray(stay, dtype=np.float64),
-            build_neighbor_csr(neighbors) if csr is None else csr,
-        )
-    with bit_generator.lock:
-        status = kernel.repro_step_walks(*bound.arguments)
-    if status != 0:
-        raise SimulationError(_OFF_TOPOLOGY)
-    return bound.out if as_array else bound.out.tolist()
+    moved = BoundWalks(
+        bit_generator,
+        np.ascontiguousarray(cells, dtype=np.intp),
+        np.ascontiguousarray(stay, dtype=np.float64),
+        build_neighbor_csr(neighbors) if csr is None else csr,
+    ).step()
+    return moved if as_array else moved.tolist()
 
 
 #: ``Generator.random()`` is ``(raw >> 11) * _DOUBLE_UNIT`` of one raw draw.
@@ -200,9 +196,9 @@ def _emulate_random_walks(
     bit_generator: np.random.PCG64,
     cells: Sequence[int],
     stay: Sequence[float],
-    neighbors: Sequence[Sequence[int]],
+    csr: Tuple[np.ndarray, np.ndarray],
 ) -> List[int]:
-    """:func:`step_random_walks` from one block of raw PCG64 draws.
+    """:meth:`BoundWalks.step` from one block of raw PCG64 draws.
 
     The path for a host with no C compiler.  The scan emulates the two
     ``Generator`` calls on PCG64:
@@ -224,6 +220,7 @@ def _emulate_random_walks(
     # A device takes at most two raw draws unless Lemire rejects a half;
     # each rejection extends the block by one draw, so it never runs out.
     block = bit_generator.random_raw(2 * len(cells) + 2).tolist()
+    offsets, flat = (array.tolist() for array in csr)
     used = 0
     out: List[int] = []
     append = out.append
@@ -233,10 +230,10 @@ def _emulate_random_walks(
         if (raw >> 11) * _DOUBLE_UNIT < probability:
             append(cell)
             continue
-        options = neighbors[cell]
-        k = len(options)
+        first = offsets[cell]
+        k = offsets[cell + 1] - first
         if k < 2:
-            append(options[0] if k else cell)
+            append(flat[first] if k else cell)
             continue
         while True:
             if has_half:
@@ -253,7 +250,7 @@ def _emulate_random_walks(
             if low >= k or low >= (_TWO32 - k) % k:
                 break
             block.extend(bit_generator.random_raw(1).tolist())
-        append(options[product >> 32])
+        append(flat[first + (product >> 32)])
     # Rewind to the draws actually used.  advance() clears the 32-bit
     # buffer, which the scan may have filled (or left stale, as the
     # generator itself does), so both fields are written back.

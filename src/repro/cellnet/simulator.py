@@ -17,25 +17,27 @@ updates, and stale-registry windows, with bounded retry/backoff recovery
 inside the same delay budget ``d``.  A ``None`` (or all-zero) fault model
 keeps every code path and rng draw identical to the fault-free engine.
 
-Since the contention refactor, :class:`CellularSimulator` is a thin façade
-over the event-driven engine (:mod:`repro.cellnet.engine`): ``run()``
-schedules ``movement`` and ``arrival`` events through an
-:class:`~repro.cellnet.engine.EventEngine` instead of iterating a loop
-body.  With ``channel_capacity=None`` (the default) the schedule replays
-the legacy step loop event for event — bit-identical rng streams and
-reports, pinned by ``tests/cellnet/test_legacy_equivalence.py``.  A finite
+:meth:`CellularSimulator.run` is a fixed step loop
+(:class:`~repro.cellnet.engine.EventEngine`): each step ``1..horizon``
+moves the devices, then draws the step's call arrivals, then, under
+contention, runs the shared paging round.  With ``channel_capacity=None``
+(the default) calls are handled as they arrive, the loop body this
+simulator always ran — bit-identical rng streams and reports, pinned by
+``tests/cellnet/test_legacy_equivalence.py``.  A finite
 ``channel_capacity`` switches on the shared per-cell paging channels:
 concurrent calls compete for ``channel_capacity * carriers`` page slots
 per cell per round through a :class:`~repro.cellnet.engine.ChannelScheduler`,
 and the report grows blocking probability, setup-latency percentiles, and
-a channel-occupancy histogram (docs/contention.md).
+a channel-occupancy histogram (docs/contention.md).  An outage or a
+per-cell loss rate on a cell the topology does not have is rejected at
+construction.
 
 Movement is drawn in one call per step when that provably replays the
 per-device loop: every device walks an exact
 :class:`~repro.cellnet.mobility.RandomWalk` on this topology, the stream is
 ``np.random.PCG64``, and no update-loss fault draws between device steps.
-:func:`~repro.cellnet.mobility.step_random_walks` then runs the
-``RandomWalk.step`` loop in the compiled library, drawing through the
+:meth:`BoundWalks.step <repro.cellnet.mobility.BoundWalks.step>` then runs
+the ``RandomWalk.step`` loop in the compiled library, drawing through the
 generator's own C functions, or, on a host with no C compiler (or with
 ``REPRO_DISABLE_COMPILED`` set), emulates those calls from raw PCG64
 draws.  Either way it leaves the generator where the scalar loop would
@@ -71,23 +73,11 @@ from ..obs.events import current_tracer
 from ..obs.instrument import span
 from .calls import ARRIVAL_MODES, ConferenceCallRequest, PoissonConferenceCalls
 from .database import LocationRegistry
-from .engine import (
-    ARRIVAL,
-    MOVEMENT,
-    OUTAGE_END,
-    OUTAGE_START,
-    PAGING_ROUND,
-    RETRY,
-    ChannelResource,
-    ChannelScheduler,
-    Event,
-    EventEngine,
-    plan_pending_call,
-)
+from .engine import ChannelScheduler, EventEngine, plan_pending_call
 from .faults import DEFAULT_RECOVERY, FaultInjector, FaultModel, RecoveryPolicy, ResilientPager
 from .location_areas import LocationAreaPlan
 from .metrics import CallRecord, LinkUsageMetrics
-from .mobility import BoundWalks, MobilityModel, RandomWalk, step_random_walks
+from .mobility import BoundWalks, MobilityModel, RandomWalk
 from .paging import PAGER_FACTORIES, PagingOutcome, Priors
 from .timevary import BeliefPropagator, transition_matrix
 from .reporting import (
@@ -205,7 +195,7 @@ def _batched_walk_stays(
 ) -> Optional[List[float]]:
     """Per-device stay probabilities if movement may take the batch, else None.
 
-    :func:`~repro.cellnet.mobility.step_random_walks` replays the scalar
+    :meth:`~repro.cellnet.mobility.BoundWalks.step` replays the scalar
     loop draw for draw only when the stream is PCG64 (the only bit
     generator its no-compiler emulation handles; the compiled path keeps
     the same rule, so which runs batch does not depend on the host), every
@@ -224,6 +214,18 @@ def _batched_walk_stays(
     ):
         return None
     return [model.stay_probability for model in models]
+
+
+def _check_fault_cells(faults: FaultModel, num_cells: int) -> None:
+    """Reject an outage or a per-cell loss rate on a cell off the topology."""
+    cells = [outage.cell for outage in faults.outages]
+    cells += [int(cell) for cell in faults.cell_page_loss]
+    for cell in cells:
+        if cell >= num_cells:
+            raise SimulationError(
+                f"fault model names cell {cell}, but the topology has "
+                f"{num_cells} cells"
+            )
 
 
 @dataclass(frozen=True)
@@ -255,6 +257,8 @@ class CellularSimulator:
         rng: np.random.Generator,
         initial_cells: Optional[Sequence[int]] = None,
     ) -> None:
+        if config.faults is not None:
+            _check_fault_cells(config.faults, topology.num_cells)
         self._topology = topology
         self._plan = plan
         self._config = config
@@ -284,19 +288,17 @@ class CellularSimulator:
             config.call_rate, len(mobility_models), mode=config.arrival_mode
         ) if len(mobility_models) >= 2 else None
         # Shared-channel contention: a finite channel_capacity switches the
-        # engine from the synchronous legacy schedule to queued setup over
-        # per-cell page slots.  Calls are planned by the pager's plan step
+        # step loop from synchronous calls to queued setup over per-cell
+        # page slots.  Calls are planned by the pager's plan step
         # (plan_pending_call) and executed by the ChannelScheduler.
-        self._resource: Optional[ChannelResource] = None
         self._scheduler: Optional[ChannelScheduler] = None
         if config.contention_active:
             assert config.channel_capacity is not None
-            self._resource = ChannelResource(
-                topology.num_cells, config.channel_capacity, config.carriers
-            )
             self._scheduler = ChannelScheduler(
-                self._resource,
                 self._metrics,
+                num_cells=topology.num_cells,
+                capacity=config.channel_capacity,
+                carriers=config.carriers,
                 max_wait=config.max_wait,
                 device_cells=self._cells_list,
                 on_found=self._on_found,
@@ -477,13 +479,7 @@ class CellularSimulator:
         old = self._cells
         delivered: Optional[np.ndarray] = None
         if self._walk_bound is not None:
-            new = step_random_walks(
-                self._rng.bit_generator,
-                old,
-                self._walk_stays,
-                self._topology.neighbor_table,
-                self._walk_bound,
-            )
+            new = self._walk_bound.step()
         else:
             new, delivered = self._step_devices(time)
         self._since_report += 1
@@ -620,73 +616,15 @@ class CellularSimulator:
                     tracer.count("cellnet.degraded_calls")
         return outcome
 
-    # -- engine wiring --------------------------------------------------
-    def _build_engine(self) -> EventEngine:
-        """Wire the event-driven engine for this run.
-
-        The legacy schedule is one ``movement`` then one ``arrival`` event
-        per step, each handler re-scheduling itself — event for event the
-        old loop body, so rng draws happen in the exact historic order.
-        Contention adds a shared ``paging-round`` event after the arrivals
-        of each step, serving every pending call against the
-        :class:`~repro.cellnet.engine.ChannelResource`.
-        """
-        config = self._config
-        horizon = config.horizon
-        engine = EventEngine()
-
-        def on_movement(event: Event) -> None:
-            self._step_movement(event.time)
-            if event.time < horizon:
-                engine.schedule(Event(event.time + 1, MOVEMENT))
-
-        def on_arrival(event: Event) -> None:
-            if self._calls is not None:
-                for request in self._calls.arrivals(event.time, self._rng):
-                    if self._scheduler is None:
-                        self._handle_call(request)
-                    else:
-                        self._admit_call(request)
-            if event.time < horizon:
-                engine.schedule(Event(event.time + 1, ARRIVAL))
-
-        engine.on(MOVEMENT, on_movement)
-        engine.on(ARRIVAL, on_arrival)
-        engine.schedule(Event(1, MOVEMENT))
-        engine.schedule(Event(1, ARRIVAL))
-
-        if self._scheduler is not None:
-            scheduler = self._scheduler
-
-            def on_paging(event: Event) -> None:
-                scheduler.serve_round(event.time, engine)
-                if event.time < horizon:
-                    engine.schedule(Event(event.time + 1, PAGING_ROUND))
-
-            engine.on(PAGING_ROUND, on_paging)
-            engine.on(RETRY, lambda event: scheduler.on_retry(event, engine))
-            engine.schedule(Event(1, PAGING_ROUND))
-
-        if config.faults is not None and config.faults.outages:
-            resource = self._resource
-
-            def on_outage(event: Event) -> None:
-                cell, down = event.payload  # type: ignore[misc]
-                if resource is not None:
-                    resource.set_down(cell, down)
-
-            engine.on(OUTAGE_START, on_outage)
-            engine.on(OUTAGE_END, on_outage)
-            for outage in config.faults.outages:
-                if outage.start <= horizon:
-                    engine.schedule(
-                        Event(max(1, outage.start), OUTAGE_START, (outage.cell, True))
-                    )
-                if outage.end <= horizon:
-                    engine.schedule(
-                        Event(max(1, outage.end), OUTAGE_END, (outage.cell, False))
-                    )
-        return engine
+    def _step_arrivals(self, time: int) -> None:
+        """This step's call arrivals: handled at once, or queued under contention."""
+        if self._calls is None:
+            return
+        for request in self._calls.arrivals(time, self._rng):
+            if self._scheduler is None:
+                self._handle_call(request)
+            else:
+                self._admit_call(request)
 
     def _admit_call(self, request: ConferenceCallRequest) -> None:
         """Plan one arriving call and queue it on the shared channels."""
@@ -731,8 +669,13 @@ class CellularSimulator:
             pager=self._config.pager,
             contention=self._config.contention_active,
         ):
-            engine = self._build_engine()
-            engine.run(self._config.horizon)
+            faults = self._config.faults
+            EventEngine(
+                self._step_movement,
+                self._step_arrivals,
+                self._scheduler,
+                faults.outages if faults is not None else (),
+            ).run(self._config.horizon)
             if self._scheduler is not None:
                 self._scheduler.drain(self._config.horizon)
         return SimulationReport(

@@ -1,4 +1,4 @@
-"""Unit and determinism tests for the event-driven contention engine."""
+"""Unit and determinism tests for the step loop and the shared channels."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,14 @@ from repro.cellnet import (
     CellOutage,
     CellTopology,
     CellularSimulator,
-    ChannelResource,
-    Event,
+    ChannelScheduler,
+    ConferenceCallRequest,
     EventEngine,
+    FaultInjector,
     FaultModel,
+    LinkUsageMetrics,
     LocationAreaPlan,
+    PendingCall,
     RandomWalk,
     RecoveryPolicy,
     SimulationConfig,
@@ -22,128 +25,179 @@ from repro.cellnet.engine import (
     OUTAGE_END,
     OUTAGE_START,
     PAGING_ROUND,
+    PHASE_STRATEGY,
+    _Phase,
 )
 from repro.errors import SimulationError
 from repro.obs import MemorySink, Tracer, use_tracer
 
 
+def make_scheduler(
+    positions,
+    *,
+    num_cells=3,
+    capacity=1,
+    carriers=1,
+    faults=None,
+    recovery=None,
+):
+    """A scheduler over fixed device positions, with its metrics."""
+    metrics = LinkUsageMetrics(contention=True)
+    injector = None
+    if faults is not None:
+        injector = FaultInjector(faults, np.random.default_rng(0), metrics)
+    scheduler = ChannelScheduler(
+        metrics,
+        num_cells=num_cells,
+        capacity=capacity,
+        carriers=carriers,
+        max_wait=8,
+        device_cells=lambda: positions,
+        on_found=lambda device, cell, time: None,
+        injector=injector,
+        recovery=recovery,
+    )
+    return scheduler, metrics
+
+
+def make_call(cells, *, device=0, candidates=None, time=1):
+    """A one-participant call that pages ``cells`` as one group."""
+    return PendingCall(
+        request=ConferenceCallRequest(time=time, participants=(device,)),
+        candidate_cells=tuple(cells if candidates is None else candidates),
+        phases=[_Phase(PHASE_STRATEGY, list(cells))],
+        remaining={0: device},
+    )
+
+
 class TestEventEngine:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SimulationError):
-            Event(1, "teleport")
-        engine = EventEngine()
-        with pytest.raises(SimulationError):
-            engine.on("teleport", lambda event: None)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Event(-1, MOVEMENT)
-
-    def test_event_is_an_immutable_record(self):
-        event = Event(3, ARRIVAL, "payload")
-        assert (event.time, event.kind, event.payload) == (3, ARRIVAL, "payload")
-        assert event == Event(3, ARRIVAL, "payload")
-        assert Event(3, ARRIVAL).payload is None
-        with pytest.raises(AttributeError):
-            event.time = 4
-
     def test_dispatch_order_time_then_priority_then_seq(self):
-        engine = EventEngine()
+        """Steps in time order; in each, movement, arrivals, the round."""
         order = []
-        for kind in (MOVEMENT, ARRIVAL, PAGING_ROUND, OUTAGE_START):
-            engine.on(kind, lambda event: order.append((event.time, event.kind)))
-        # scheduled deliberately out of order
-        engine.schedule(Event(2, MOVEMENT))
-        engine.schedule(Event(1, PAGING_ROUND))
-        engine.schedule(Event(1, MOVEMENT))
-        engine.schedule(Event(1, OUTAGE_START))
-        engine.schedule(Event(1, ARRIVAL))
-        engine.run(horizon=5)
+
+        class Round:
+            def serve_round(self, time):
+                order.append((time, PAGING_ROUND))
+
+        EventEngine(
+            lambda time: order.append((time, MOVEMENT)),
+            lambda time: order.append((time, ARRIVAL)),
+            Round(),
+        ).run(horizon=2)
         assert order == [
-            (1, OUTAGE_START),
             (1, MOVEMENT),
             (1, ARRIVAL),
             (1, PAGING_ROUND),
             (2, MOVEMENT),
+            (2, ARRIVAL),
+            (2, PAGING_ROUND),
         ]
 
     def test_same_kind_same_time_fifo(self):
-        engine = EventEngine()
-        seen = []
-        engine.on(ARRIVAL, lambda event: seen.append(event.payload))
-        for tag in ("a", "b", "c"):
-            engine.schedule(Event(3, ARRIVAL, tag))
-        engine.run(horizon=3)
-        assert seen == ["a", "b", "c"]
-
-    def test_cannot_schedule_into_the_past(self):
-        engine = EventEngine()
-        engine.on(MOVEMENT, lambda event: None)
-        engine.schedule(Event(5, MOVEMENT))
-        engine.run(horizon=5)
-        with pytest.raises(SimulationError):
-            engine.schedule(Event(2, MOVEMENT))
+        """Retries due at one step rejoin the queue in the order they parked."""
+        # Each call pages its own cell, misses, and parks; the retries all
+        # re-page cell 3, where the device is and which has one slot per
+        # round, so one retry finds it per round.
+        scheduler, _ = make_scheduler(
+            [3],
+            num_cells=5,
+            faults=FaultModel(cell_page_loss={4: 1.0}),
+            recovery=RecoveryPolicy(max_retries=1, backoff_base=2),
+        )
+        calls = [make_call([cell], candidates=[3]) for cell in range(3)]
+        for call in calls:
+            scheduler.admit(call)
+        scheduler.serve_round(1)
+        assert [call.retry_at for call in calls] == [3, 3, 3]
+        scheduler.serve_round(2)
+        paged = []
+        for time in (3, 4, 5):
+            scheduler.serve_round(time)
+            paged.append([call.cells_paged for call in calls])
+        assert paged == [[2, 1, 1], [2, 2, 1], [2, 2, 2]]
 
     def test_horizon_cuts_off_later_events(self):
-        engine = EventEngine()
-        fired = []
-        engine.on(MOVEMENT, lambda event: fired.append(event.time))
-        engine.schedule(Event(1, MOVEMENT))
-        engine.schedule(Event(9, MOVEMENT))
+        """``run(horizon)`` runs exactly the steps ``1..horizon``."""
+        steps = []
+        engine = EventEngine(steps.append, lambda time: None)
         engine.run(horizon=5)
-        assert fired == [1]
-        assert engine.queue_depth == 1
-        assert engine.events_dispatched == 1
+        assert steps == [1, 2, 3, 4, 5]
+        engine.run(horizon=0)
+        assert steps == [1, 2, 3, 4, 5]
 
-    def test_missing_handler_is_an_error(self):
-        engine = EventEngine()
-        engine.schedule(Event(1, MOVEMENT))
-        with pytest.raises(SimulationError):
-            engine.run(horizon=1)
+    def test_retry_pages_again_after_its_backoff(self):
+        """Parked at step t with backoff w, a call pages again at t + w."""
+        scheduler, _ = make_scheduler(
+            [1],
+            faults=FaultModel(cell_page_loss={2: 1.0}),
+            recovery=RecoveryPolicy(max_retries=1, backoff_base=3),
+        )
+        call = make_call([0])
+        scheduler.admit(call)
+        scheduler.serve_round(4)
+        assert (call.cells_paged, call.retries_used, call.retry_at) == (1, 1, 7)
+        for time in (5, 6):
+            scheduler.serve_round(time)
+            assert call.cells_paged == 1
+            assert scheduler.active_calls == 1
+        # The retry's page goes out in the round of step 7 itself.
+        scheduler.serve_round(7)
+        assert call.cells_paged == 2
+        assert call.phases[1].kind == "retry"
 
 
 class TestChannelResource:
+    """The per-cell page slots, kept by :class:`ChannelScheduler`."""
+
     def test_slots_are_capacity_times_carriers(self):
-        resource = ChannelResource(num_cells=3, capacity=2, carriers=2)
-        resource.begin_round()
-        assert [resource.acquire(0) for _ in range(5)] == [
-            True, True, True, True, False,
-        ]
-        assert resource.used(0) == 4
-        assert resource.acquire(1)  # other cells unaffected
+        scheduler, _ = make_scheduler([2], capacity=2, carriers=2)
+        calls = [make_call([0]) for _ in range(5)] + [make_call([1])]
+        for call in calls:
+            scheduler.admit(call)
+        scheduler.serve_round(1)
+        # four slots on cell 0; the fifth call is starved, cell 1 unaffected
+        assert [call.cells_paged for call in calls] == [1, 1, 1, 1, 0, 1]
+        assert calls[4].waited == 1
 
     def test_begin_round_resets_usage(self):
-        resource = ChannelResource(num_cells=2, capacity=1)
-        resource.begin_round()
-        assert resource.acquire(0)
-        assert not resource.acquire(0)
-        resource.begin_round()
-        assert resource.acquire(0)
+        """Each round starts with every cell's slots free again."""
+        scheduler, _ = make_scheduler([0, 2])
+        first, second = make_call([0], device=0), make_call([0], device=1)
+        scheduler.admit(first)
+        scheduler.admit(second)
+        scheduler.serve_round(1)
+        assert (first.cells_paged, second.cells_paged) == (1, 0)
+        scheduler.serve_round(2)
+        assert second.cells_paged == 1
 
     def test_down_cell_offers_zero_slots(self):
-        resource = ChannelResource(num_cells=2, capacity=4)
-        resource.begin_round()
-        resource.set_down(1, True)
-        assert not resource.acquire(1)
-        resource.set_down(1, False)
-        assert resource.acquire(1)
+        """A cell takes no page while its outage window is active."""
+        scheduler, metrics = make_scheduler(
+            [2], capacity=4, faults=FaultModel(outages=(CellOutage(1, 2, 3),))
+        )
+        call = make_call([1])
+        scheduler.admit(call)
+        scheduler.serve_round(2)
+        assert (call.cells_paged, call.waited) == (0, 1)
+        scheduler.serve_round(3)
+        assert call.cells_paged == 1
+        assert metrics.outage_pages == 0
 
     def test_occupancy_snapshot(self):
-        resource = ChannelResource(num_cells=3, capacity=2)
-        resource.begin_round()
-        resource.acquire(0)
-        resource.acquire(0)
-        resource.acquire(2)
-        assert resource.occupancy_snapshot() == [2, 0, 1]
-        assert resource.used_total == 3
+        """A round's slots used per cell reach the occupancy histogram."""
+        scheduler, metrics = make_scheduler([1], capacity=2)
+        for cells in ([0], [0], [2]):
+            scheduler.admit(make_call(cells))
+        scheduler.serve_round(1)
+        assert metrics.channel_occupancy == {2: 1, 0: 1, 1: 1}
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            ChannelResource(num_cells=0, capacity=1)
+            make_scheduler([0], num_cells=0)
         with pytest.raises(SimulationError):
-            ChannelResource(num_cells=1, capacity=0)
+            make_scheduler([0], capacity=0)
         with pytest.raises(SimulationError):
-            ChannelResource(num_cells=1, capacity=1, carriers=0)
+            make_scheduler([0], carriers=0)
 
 
 def build_contention_simulator(
@@ -287,6 +341,25 @@ class TestContentionBehavior:
         assert counters[f"engine.events.{OUTAGE_START}"] == 2
         assert counters[f"engine.events.{OUTAGE_END}"] == 2
         assert "engine.outage_transitions" not in counters
+
+    @pytest.mark.parametrize(
+        "split",
+        [((5, 40), (10, 20)), ((5, 20), (20, 40))],
+        ids=["overlapping", "back-to-back"],
+    )
+    def test_split_outage_equals_its_union(self, split):
+        """A cell stays down while any of its outage windows is active."""
+        def run(windows):
+            faults = FaultModel(
+                outages=tuple(CellOutage(0, start, end) for start, end in windows)
+            )
+            return build_contention_simulator(
+                call_rate=1.0, horizon=60, seed=3, faults=faults
+            ).run().summary()
+
+        union = run([(5, 40)])
+        assert run(split) == union
+        assert union["outage_pages"] == 0
 
     def test_config_validation(self):
         with pytest.raises(SimulationError):

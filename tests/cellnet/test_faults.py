@@ -232,6 +232,21 @@ class TestResilientPager:
 
 
 class TestSimulatorIntegration:
+    @pytest.mark.parametrize("contended", [False, True], ids=["synchronous", "contended"])
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultModel(outages=(CellOutage(cell=99, start=5, end=20),)),
+            FaultModel(cell_page_loss={99: 0.5}),
+        ],
+        ids=["outage", "cell-page-loss"],
+    )
+    def test_fault_cell_off_the_topology_is_rejected(self, faults, contended):
+        """A 19-cell network has no cell 99, whichever path runs the calls."""
+        overrides = {"channel_capacity": 1} if contended else {}
+        with pytest.raises(SimulationError, match="cell 99"):
+            build_simulator(faults=faults, **overrides)
+
     def test_zero_fault_model_matches_no_fault_model(self):
         """faults=FaultModel() must be bit-identical to faults=None."""
         baseline = build_simulator().run()

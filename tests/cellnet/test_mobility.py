@@ -254,30 +254,23 @@ class TestStepRandomWalks:
             for _ in range(20):
                 expected = [model.step(cell, scalar) for cell in expected]
                 with _on_path(path):
-                    moved = step_random_walks(
-                        batch.bit_generator,
-                        cells,
-                        stays,
-                        topology.neighbor_table,
-                        bound,
-                    )
+                    moved = bound.step()
+                assert moved is bound.out
                 assert moved.tolist() == expected
                 cells[...] = moved
             assert batch.bit_generator.state == scalar.bit_generator.state
 
     def test_bound_walks_reject_other_arguments(self, topology, rng):
+        """Off-topology cells draw nothing; bad arrays are refused at once."""
         cells = np.zeros(3, dtype=np.intp)
         stays = np.full(3, 0.3)
         bound = BoundWalks(rng.bit_generator, cells, stays, topology.neighbor_csr)
         before = rng.bit_generator.state
-        table = topology.neighbor_table
-        for other in (cells.copy(), cells.tolist()):
-            with pytest.raises(SimulationError, match="other arguments"):
-                step_random_walks(rng.bit_generator, other, stays, table, bound)
-        cells[1] = 19
-        for path in WALK_PATHS:
-            with _on_path(path), pytest.raises(SimulationError):
-                step_random_walks(rng.bit_generator, cells, stays, table, bound)
+        for bad in (-1, 19):
+            cells[1] = bad
+            for path in WALK_PATHS:
+                with _on_path(path), pytest.raises(SimulationError):
+                    bound.step()
         assert rng.bit_generator.state == before
         with pytest.raises(SimulationError):
             BoundWalks(rng.bit_generator, cells.astype(np.int32), stays, bound.csr)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.cellnet.simulator as simulator_module
 from repro.cellnet import (
     CellTopology,
     CellularSimulator,
@@ -13,6 +12,7 @@ from repro.cellnet import (
     RandomWaypoint,
     SimulationConfig,
 )
+from repro.cellnet.mobility import BoundWalks
 from repro.errors import SimulationError
 
 
@@ -402,13 +402,13 @@ def _run_walks(model_type, *, shared=False, bit_generator=np.random.PCG64, **ove
 def batches(monkeypatch):
     """Counts the steps that take the batched movement path."""
     calls = []
-    step_random_walks = simulator_module.step_random_walks
+    step = BoundWalks.step
 
-    def counting(*args):
+    def counting(bound):
         calls.append(1)
-        return step_random_walks(*args)
+        return step(bound)
 
-    monkeypatch.setattr(simulator_module, "step_random_walks", counting)
+    monkeypatch.setattr(BoundWalks, "step", counting)
     return calls
 
 

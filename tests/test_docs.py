@@ -75,7 +75,9 @@ class TestCoverageFloors:
         assert len(blocks) >= 4
         joined = "\n".join(blocks)
         assert "EventEngine" in joined
-        assert "ChannelResource" in joined
+        assert "ChannelScheduler" in joined
+        assert "serve_round" in joined
+        assert "CellOutage" in joined
         assert "blocking_probability" in joined
         assert "channel_capacity" in joined
 
