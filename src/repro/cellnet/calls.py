@@ -12,17 +12,27 @@ modes with a configurable party-size distribution:
   step, so offered load is not silently capped at one call per step and
   ``rate`` may exceed 1.  This is the heavy-traffic mode the contention
   engine's blocking-probability experiments (E29) drive.
+
+A call's participants are ``sorted(rng.choice(num_devices, size,
+replace=False))``.  With the compiled library
+(:func:`~repro.core.backends.auto_kernel`) the draw runs in
+``repro_draw_participants``, which replays ``choice``'s draws on the
+generator's own ``bitgen_t``, value for value and state for state; without
+it, and for the pool and party sizes at which ``choice`` leaves Floyd's
+algorithm, ``choice`` itself draws them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.backends import auto_kernel
 from ..errors import SimulationError
 
 
@@ -37,6 +47,12 @@ class ConferenceCallRequest:
     def size(self) -> int:
         return len(self.participants)
 
+
+_UINT32_MAX = 0xFFFFFFFF
+
+#: A generator, its ``bitgen_t`` address and lock, and the kernel's output
+#: buffer with its address (:meth:`PoissonConferenceCalls._bind`).
+_Binding = Tuple[np.random.Generator, ctypes.c_void_p, Any, Any, ctypes.c_void_p]
 
 #: Supported per-step arrival modes.
 ARRIVAL_MODES = ("bernoulli", "poisson")
@@ -86,10 +102,17 @@ class PoissonConferenceCalls:
         if size_weights is None:
             size_weights = (0.5, 0.3, 0.15, 0.05)
         weights = np.asarray(list(size_weights), dtype=float)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise SimulationError("size_weights must be non-negative, not all zero")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise SimulationError("size_weights must be finite and non-negative")
         max_size = min(len(weights) + 1, num_devices)
         weights = weights[: max_size - 1]
+        # After the cut to the device pool: weight only on larger parties
+        # would leave no size to draw.
+        if not weights.sum() > 0:
+            raise SimulationError(
+                "size_weights must put weight on a party size of 2.."
+                f"{num_devices}, the device pool"
+            )
         self._rate = rate
         self._num_devices = num_devices
         self._sizes = list(range(2, max_size + 1))
@@ -100,14 +123,52 @@ class PoissonConferenceCalls:
         cdf = np.cumsum(weights / weights.sum())
         cdf /= cdf[-1]
         self._size_cdf: List[float] = cdf.tolist()
+        # choice runs Floyd's algorithm, which the kernel replays, for party
+        # sizes up to this; the kernel's 32-bit draws cover pools below 2**32.
+        self._floyd_max = (
+            0 if num_devices > _UINT32_MAX
+            else num_devices if num_devices <= 10_000
+            else num_devices // 50
+        )
+        self._pool = ctypes.c_ssize_t(num_devices)
+        self._binding: Optional[_Binding] = None
+
+    def _bind(self, rng: np.random.Generator) -> _Binding:
+        """What the kernel needs to draw on ``rng``, made once per generator.
+
+        ``bit_generator.ctypes`` builds objects on every read, so its
+        ``bitgen_t`` address is kept; the output buffer belongs to the
+        binding, so a draw on another generator never writes into it.
+        """
+        drawn = (ctypes.c_ssize_t * self._sizes[-1])()
+        bit_generator = rng.bit_generator
+        return (
+            rng,
+            bit_generator.ctypes.bit_generator,
+            bit_generator.lock,
+            drawn,
+            ctypes.c_void_p(ctypes.addressof(drawn)),
+        )
 
     def _draw_request(
         self, time: int, rng: np.random.Generator
     ) -> ConferenceCallRequest:
         size = self._sizes[bisect_right(self._size_cdf, rng.random())]
-        participants = tuple(
-            sorted(rng.choice(self._num_devices, size=size, replace=False).tolist())
-        )
+        kernel = auto_kernel() if size <= self._floyd_max else None
+        if kernel is None:
+            participants = tuple(
+                sorted(rng.choice(self._num_devices, size=size, replace=False).tolist())
+            )
+            return ConferenceCallRequest(time=time, participants=participants)
+        binding = self._binding
+        if binding is None or binding[0] is not rng:
+            binding = self._binding = self._bind(rng)
+        _, bitgen, lock, drawn, address = binding
+        with lock:
+            status = kernel.repro_draw_participants(bitgen, self._pool, size, address)
+            participants = tuple(drawn[:size])
+        if status != 0:
+            raise MemoryError("participant draw could not allocate its scratch set")
         return ConferenceCallRequest(time=time, participants=participants)
 
     def maybe_arrival(

@@ -24,6 +24,7 @@ shared channels instead (:func:`~repro.cellnet.engine.plan_pending_call`).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -31,9 +32,16 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..core.adaptive import adaptive_search
+from ..core.backends import auto_kernel
+from ..core.batch_plan import plan_batch
 from ..core.instance import PagingInstance
 from ..core.strategy import Strategy
-from ..errors import InvalidInstanceError, InvalidStrategyError, SimulationError
+from ..errors import (
+    InfeasibleError,
+    InvalidInstanceError,
+    InvalidStrategyError,
+    SimulationError,
+)
 from ..solvers import RegisteredSolver, get_solver
 
 if TYPE_CHECKING:
@@ -98,23 +106,31 @@ def build_sub_instance(
 
     ``priors`` is one prior per device: a ``(devices, cells)`` array or a
     sequence of rows.  Returns the sub-instance plus the map from sub-index
-    to global cell id.  Rows are floored and renormalized by
+    to global cell id.  Rows are floored and renormalized as by
     :func:`floor_and_renormalize`; ``priors`` itself is never written.
+
+    A floored row fails :class:`~repro.core.instance.PagingInstance`'s
+    checks only when its sum is not finite (a NaN or infinite prior, or
+    one whose sum overflows), so that one check is made here, raising
+    :class:`~repro.errors.InvalidInstanceError`, and the instance is built
+    unvalidated.
     """
     cells = tuple(map(int, candidate_cells))
     if not cells:
         raise SimulationError("cannot page an empty candidate set")
     if not len(priors):
         raise InvalidInstanceError("instance needs at least one device and one cell")
-    # One gather of the candidate columns (a new array), made C-contiguous
-    # for the sums.
-    rows = np.ascontiguousarray(
-        np.asarray(priors, dtype=np.float64).take(cells, axis=1)
-    )
-    floor_and_renormalize(rows)
+    # One gather of the candidate columns: a new C-contiguous array, whose
+    # sums round as floor_and_renormalize's do.
+    rows = np.asarray(priors, dtype=np.float64).take(cells, axis=1)
+    np.maximum(rows, PRIOR_FLOOR, out=rows)
+    sums = rows.sum(axis=1)
+    if not all(map(math.isfinite, sums.tolist())):
+        raise InvalidInstanceError("a candidate prior does not have a finite sum")
+    rows /= sums[:, None]
     rows.setflags(write=False)
     d = max(1, min(int(max_rounds), len(cells)))
-    return PagingInstance(rows, d, allow_zero=True), cells
+    return PagingInstance(rows, d, validate=False), cells
 
 
 def execute_search(
@@ -217,23 +233,76 @@ def _global_groups(strategy: Strategy, cells: Sequence[int]) -> Groups:
     return [[cells[j] for j in sorted(group)] for group in strategy.groups]
 
 
+class _PlanBlock:
+    """One pager's output block for the compiled plan of one instance.
+
+    ``repro_plan_batch`` writes a batch of one into it: the order, then the
+    group sizes, the value and the feasible byte, at fixed offsets.  It
+    grows to the most cells planned so far.  :meth:`plan` copies the
+    order and sizes out as lists, so the next plan may overwrite it.
+    """
+
+    __slots__ = ("cells", "block", "addresses")
+
+    def __init__(self) -> None:
+        self._resize(0)
+
+    def _resize(self, cells: int) -> None:
+        self.cells = cells
+        self.block = (ctypes.c_ssize_t * (2 * cells + 2))()
+        # ctypes objects of the declared argument types pass unconverted.
+        base = ctypes.addressof(self.block)
+        word = ctypes.sizeof(ctypes.c_ssize_t)
+        self.addresses = tuple(
+            ctypes.c_void_p(base + word * offset)
+            for offset in (0, cells, 2 * cells, 2 * cells + 1)
+        )
+
+    def plan(
+        self, kernel: ctypes.CDLL, rows: np.ndarray, d: int
+    ) -> Tuple[List[int], List[int]]:
+        """The Fig. 1 order and group sizes of C-contiguous float64 ``rows``."""
+        m, c = rows.shape
+        if c > self.cells:
+            self._resize(c)
+        status = kernel.repro_plan_batch(
+            rows.ctypes.data, 1, m, c, d, c, *self.addresses
+        )
+        if status != 0:
+            raise MemoryError("planner kernel could not allocate scratch space")
+        return self.block[:c], self.block[self.cells : self.cells + d]
+
+
 def _heuristic_groups(
-    planner: RegisteredSolver, instance: PagingInstance, cells: Sequence[int]
+    planner: RegisteredSolver,
+    instance: PagingInstance,
+    cells: Sequence[int],
+    block: _PlanBlock,
 ) -> Groups:
     """The Fig. 1 plan of ``instance`` as global cell ids, one group a round.
 
-    A float instance goes straight to the planner's batch entry point as a
-    batch of one, and its order is cut into groups here, with the checks
-    :meth:`~repro.core.strategy.Strategy.from_order_and_sizes` makes; an
-    exact one keeps the reference planner's ``Fraction`` arithmetic.
+    A float instance is planned as ``planner``'s batch entry point would
+    plan a batch of one: by ``repro_plan_batch`` into the pager's
+    ``block``, or by :func:`~repro.core.batch_plan.plan_batch` without the
+    compiled library.  Its order is cut into groups here, with the checks
+    :meth:`~repro.core.strategy.Strategy.from_order_and_sizes` makes.  An
+    exact instance keeps the reference planner's ``Fraction`` arithmetic.
     """
     if instance.is_exact:
         return _global_groups(planner(instance).strategy, cells)
-    plan = planner.run_batch(
-        instance.float_rows()[None], max_rounds=instance.max_rounds
-    )
-    (order,) = plan.orders.tolist()
-    (sizes,) = plan.group_sizes.tolist()
+    rows = instance.float_rows()
+    d = instance.max_rounds
+    if not 1 <= d <= rows.shape[1]:
+        raise InfeasibleError(
+            f"number of rounds must satisfy 1 <= d <= {rows.shape[1]}, got {d}"
+        )
+    kernel = auto_kernel()
+    if kernel is None:
+        plan = plan_batch(rows[None], d)
+        (order,) = plan.orders.tolist()
+        (sizes,) = plan.group_sizes.tolist()
+    else:
+        order, sizes = block.plan(kernel, rows, d)
     if sum(sizes) != len(order):
         raise InvalidStrategyError(
             f"group sizes {tuple(sizes)} do not sum to {len(order)} cells"
@@ -301,14 +370,17 @@ class BlanketPager(Pager):
 class HeuristicPager(Pager):
     """The paper's e/(e-1) strategy within the delay budget.
 
-    Plans come from the ``heuristic`` registry entry (``repro.solvers``),
-    whose float path is the batched Fig. 1 kernel.
+    A float plan is the one the ``heuristic`` registry entry
+    (``repro.solvers``) makes in a batch of one, computed without passing
+    through the registry (:func:`_heuristic_groups`); an exact instance
+    is planned by that entry.
     """
 
     name = "heuristic"
 
     def __init__(self) -> None:
         self._planner = get_solver("heuristic")
+        self._block = _PlanBlock()
 
     def plan(
         self,
@@ -316,7 +388,7 @@ class HeuristicPager(Pager):
         cells: Sequence[int],
         true_cells: Optional[Sequence[int]] = None,
     ) -> Groups:
-        return _heuristic_groups(self._planner, instance, cells)
+        return _heuristic_groups(self._planner, instance, cells, self._block)
 
     # Bound on this class itself: bench/layers.py hooks the name through
     # the class namespace.
@@ -337,6 +409,7 @@ class AdaptivePager(Pager):
 
     def __init__(self) -> None:
         self._planner = get_solver("heuristic")
+        self._block = _PlanBlock()
 
     def plan(
         self,
@@ -345,7 +418,7 @@ class AdaptivePager(Pager):
         true_cells: Optional[Sequence[int]] = None,
     ) -> Groups:
         if true_cells is None:
-            return _heuristic_groups(self._planner, instance, cells)
+            return _heuristic_groups(self._planner, instance, cells, self._block)
         index_of = {cell: j for j, cell in enumerate(cells)}
         if not all(cell in index_of for cell in true_cells):
             # Some device left the candidate set; page it all, then sweep.

@@ -1,7 +1,8 @@
 /* Batched Fig. 1 planner kernel: weight ordering + Lemma 4.7 cut DP.
- * The file also holds the batched RandomWalk step (repro_step_walks, at
- * the end), which draws through numpy's generator and needs no float
- * contract beyond comparing the generator's own doubles.
+ * The file also holds the batched RandomWalk step (repro_step_walks) and
+ * the participant draw (repro_draw_participants), at the end.  Both draw
+ * through numpy's generator and need no float contract beyond comparing
+ * the generator's own doubles.
  *
  * Bit-identity contract with the numpy backend (repro.core.batch_plan):
  *  - weights are sequential per-cell sums over devices (same add order);
@@ -311,5 +312,49 @@ int repro_step_walks(
         else if (k == 1) out[i] = neighbors[start];
         else out[i] = neighbors[start + bounded_lemire(g, (uint32_t)k)];
     }
+    return 0;
+}
+
+static int compare_ptrdiff(const void *a, const void *b) {
+    const ptrdiff_t x = *(const ptrdiff_t *)a, y = *(const ptrdiff_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Generator.choice(n, size, replace=False), sorted, for the n and size at
+ * which numpy runs Floyd's algorithm (n <= 10000 or size <= n // 50) and
+ * n <= UINT32_MAX.  Floyd: for j in n - size .. n - 1 draw integers(j + 1)
+ * (j == 0 draws nothing) and take j instead of a value already taken.
+ * Then the size - 1 draws of choice's shuffle, whose permutation sorting
+ * discards.  Writes the set in ascending order to out; returns -1, before
+ * drawing anything, for a size outside 0 .. n or if the set's scratch
+ * cannot be allocated. */
+int repro_draw_participants(void *bitgen, ptrdiff_t n, ptrdiff_t size,
+                            ptrdiff_t *out) {
+    if (size < 0 || size > n || n > (ptrdiff_t)UINT32_MAX) return -1;
+    /* Open-addressed set of the values taken, at most half full. */
+    ptrdiff_t slots = 16;
+    while (slots < 2 * size) slots *= 2;
+    ptrdiff_t local[16];
+    ptrdiff_t *set = slots == 16 ? local : malloc((size_t)slots * sizeof(ptrdiff_t));
+    if (!set) return -1;
+    for (ptrdiff_t k = 0; k < slots; ++k) set[k] = -1;
+    const size_t mask = (size_t)slots - 1;
+    repro_bitgen *g = (repro_bitgen *)bitgen;
+    for (ptrdiff_t j = n - size; j < n; ++j) {
+        ptrdiff_t val = j == 0 ? 0 : (ptrdiff_t)bounded_lemire(g, (uint32_t)(j + 1));
+        size_t loc = (size_t)val & mask;
+        while (set[loc] != -1 && set[loc] != val) loc = (loc + 1) & mask;
+        if (set[loc] == val) {
+            val = j;
+            loc = (size_t)val & mask;
+            while (set[loc] != -1) loc = (loc + 1) & mask;
+        }
+        set[loc] = val;
+        out[j - (n - size)] = val;
+    }
+    for (ptrdiff_t i = size - 1; i >= 1; --i)
+        (void)bounded_lemire(g, (uint32_t)(i + 1));
+    if (set != local) free(set);
+    qsort(out, (size_t)size, sizeof(ptrdiff_t), compare_ptrdiff);
     return 0;
 }

@@ -27,9 +27,12 @@ that must know the kernel loads.
 The same library holds ``repro_step_walks``, the batched ``RandomWalk``
 step that :func:`repro.cellnet.mobility.step_random_walks` runs when
 :func:`auto_kernel` returns the library; without it that function emulates
-the draws in Python.  So ``REPRO_DISABLE_COMPILED`` switches movement as
-well as planning, and ``planner.backend_fallback`` counts both kinds of
-call.
+the draws in Python.  It also holds ``repro_draw_participants``, the
+sorted ``Generator.choice(n, size, replace=False)`` that
+:class:`repro.cellnet.calls.PoissonConferenceCalls` draws a call's
+participants with; without the library that class calls ``choice``.  So
+``REPRO_DISABLE_COMPILED`` switches movement and participant draws as well
+as planning, and ``planner.backend_fallback`` counts every kind of call.
 
 Environment (tested in ``tests/core/test_backends.py``):
 
@@ -161,6 +164,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.repro_step_walks.restype = ctypes.c_int
     lib.repro_step_walks.argtypes = [ptr, ssize, ptr, ptr, ssize, ptr, ptr, ptr]
+    lib.repro_draw_participants.restype = ctypes.c_int
+    lib.repro_draw_participants.argtypes = [ptr, ssize, ssize, ptr]
     return lib
 
 

@@ -1,9 +1,13 @@
 """Unit tests for call arrivals and link-usage metrics."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.cellnet import CallRecord, LinkUsageMetrics, PoissonConferenceCalls
+from repro.cellnet import calls as calls_module
+from repro.core import compiled_available
 from repro.errors import SimulationError
 
 
@@ -71,6 +75,116 @@ class TestArrivals:
             PoissonConferenceCalls(0.1, 1)
         with pytest.raises(SimulationError):
             PoissonConferenceCalls(0.1, 5, size_weights=(0.0,))
+
+    @pytest.mark.parametrize(
+        "num_devices, size_weights", [(2, (0.0, 1.0)), (3, (0.0, 0.0, 1.0, 2.0))]
+    )
+    def test_weight_only_above_the_device_pool_rejected(
+        self, num_devices, size_weights
+    ):
+        """Weights cut to the pool's party sizes must still put weight somewhere."""
+        with pytest.raises(SimulationError):
+            PoissonConferenceCalls(1.0, num_devices, size_weights=size_weights)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_size_weight_rejected(self, bad):
+        """A weight with no finite CDF is refused, not drawn from."""
+        with pytest.raises(SimulationError):
+            PoissonConferenceCalls(1.0, 5, size_weights=(bad, 1.0))
+
+
+#: The participant-draw paths this host runs: the compiled kernel when it
+#: loads, and always ``Generator.choice``, which a host with no C compiler
+#: runs.
+DRAW_PATHS = ("compiled", "choice") if compiled_available() else ("choice",)
+
+
+@contextmanager
+def _on_path(path):
+    """Run the block on one draw path, switched the way CI switches it."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "choice":
+            patch.setenv("REPRO_DISABLE_COMPILED", "1")
+        yield
+
+
+def _draws_replay_choice(process, num_devices, draws, seed):
+    """Draw on every path beside ``choice`` on a twin generator.
+
+    Asserts equal participants and generator state after every draw.
+    """
+    twins = {path: np.random.default_rng(seed) for path in DRAW_PATHS}
+    for path, ours in twins.items():
+        reference = np.random.default_rng(seed)
+        for time in range(draws):
+            with _on_path(path):
+                request = process.maybe_arrival(time, ours)
+            reference.random()  # the arrival draw
+            reference.random()  # the party-size draw
+            expected = reference.choice(num_devices, size=request.size, replace=False)
+            assert request.participants == tuple(sorted(expected.tolist()))
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+
+class TestParticipantDraw:
+    """The compiled draw replays ``Generator.choice`` on the real generator.
+
+    If numpy ever changes how ``choice(n, size, replace=False)`` consumes
+    its generator, these tests fail here, by name, before any simulator
+    digest.
+    """
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_choice_and_state(self, seed):
+        num_devices = int(np.random.default_rng(1000 + seed).integers(2, 50))
+        weights = np.random.default_rng(seed).random(num_devices - 1)
+        process = PoissonConferenceCalls(1.0, num_devices, size_weights=weights)
+        _draws_replay_choice(process, num_devices, 200, seed)
+
+    def test_alternating_generators(self):
+        """One process drawing on two generators in turn stays on each stream."""
+        process = PoissonConferenceCalls(1.0, 9, size_weights=(1.0, 1.0, 1.0))
+        for path in DRAW_PATHS:
+            ours = [np.random.default_rng(seed) for seed in (3, 4)]
+            references = [np.random.default_rng(seed) for seed in (3, 4)]
+            for time in range(100):
+                rng, reference = ours[time % 2], references[time % 2]
+                with _on_path(path):
+                    request = process.maybe_arrival(time, rng)
+                reference.random()  # the arrival draw
+                reference.random()  # the party-size draw
+                expected = reference.choice(9, size=request.size, replace=False)
+                assert request.participants == tuple(sorted(expected.tolist()))
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "num_devices, on_kernel",
+        [(10_000, True), (20_000, False)],
+        ids=["floyd-at-10000", "tail-shuffle-above-10000"],
+    )
+    def test_boundary_of_floyd(self, monkeypatch, num_devices, on_kernel):
+        """500 of 10 000 runs Floyd in the kernel; 500 of 20 000 stays on choice."""
+        calls = []
+
+        def counting_kernel():
+            kernel = auto_kernel()
+            if kernel is None:
+                return None
+
+            class Counting:
+                def repro_draw_participants(self, *arguments):
+                    calls.append(arguments)
+                    return kernel.repro_draw_participants(*arguments)
+
+            return Counting()
+
+        auto_kernel = calls_module.auto_kernel
+        monkeypatch.setattr(calls_module, "auto_kernel", counting_kernel)
+        process = PoissonConferenceCalls(
+            1.0, num_devices, size_weights=(0.0,) * 498 + (1.0,)
+        )
+        _draws_replay_choice(process, num_devices, 3, 11)
+        assert len(calls) == (3 if on_kernel and "compiled" in DRAW_PATHS else 0)
 
 
 class TestPoissonMode:

@@ -24,9 +24,10 @@ from repro.cellnet import (
     build_sub_instance,
     execute_search,
 )
+from repro.cellnet.engine import plan_pending_call
 from repro.cellnet.paging import _global_groups
 from repro.core import PagingInstance
-from repro.errors import SimulationError
+from repro.errors import InvalidInstanceError, SimulationError
 from repro.solvers import get_solver
 
 
@@ -56,6 +57,33 @@ class TestSubInstance:
     def test_rejects_empty_candidates(self):
         with pytest.raises(SimulationError):
             build_sub_instance(uniform_priors(1, 4), [], max_rounds=2)
+
+
+#: Priors whose candidate rows have no finite sum, however they are floored.
+NON_FINITE_ROWS = {
+    "nan": [0.5, np.nan, 0.5],
+    "inf": [0.5, np.inf, 0.5],
+    "overflowing-sum": [1e308, 1e308, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "row", list(NON_FINITE_ROWS.values()), ids=list(NON_FINITE_ROWS)
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNonFinitePriors:
+    """A prior without a finite sum over the candidates is refused."""
+
+    def test_synchronous_search_refuses(self, backend, row):
+        priors = np.array([[0.2, 0.3, 0.5], row])
+        with pytest.raises(InvalidInstanceError):
+            HeuristicPager().search(priors, [0, 1, 2], [0, 1], 2, 3)
+
+    def test_contended_admission_refuses(self, backend, row):
+        priors = np.array([row, [0.2, 0.3, 0.5]])
+        request = ConferenceCallRequest(time=0, participants=(4, 7))
+        with pytest.raises(InvalidInstanceError):
+            plan_pending_call(request, priors, [2, 0, 1], 2, pager=HeuristicPager())
 
 
 class TestPageWithStrategy:
@@ -302,6 +330,19 @@ class TestArrayAdmission:
             assert instance.float_rows().tobytes() == rows.float_rows().tobytes()
             expected = _global_groups(planner(instance).strategy, cells)
             assert HeuristicPager().plan(instance, cells) == expected
+
+    def test_one_pager_replans_over_growing_and_shrinking_candidates(self, backend):
+        """A pager's reused output block never leaks one plan into the next."""
+        rng = np.random.default_rng(3011)
+        planner = get_solver("heuristic")
+        heuristic, adaptive = HeuristicPager(), AdaptivePager()
+        for _ in range(300):
+            priors, cells = _random_admission(rng)
+            d = int(rng.integers(1, 5))
+            instance, cells = build_sub_instance(priors, cells, max_rounds=d)
+            expected = _global_groups(planner(instance).strategy, cells)
+            assert heuristic.plan(instance, cells) == expected
+            assert adaptive.plan(instance, cells) == expected
 
     def test_sub_instance_leaves_stacked_priors_unchanged(self):
         priors = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
