@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -143,20 +143,26 @@ class LinkUsageMetrics:
     def record_blocked_call(self, waited_steps: int) -> None:
         self.blocked_calls += 1
 
-    def record_deferred_step(self) -> None:
-        self.deferred_steps += 1
+    def record_deferred_step(self, count: int = 1) -> None:
+        """``count`` call-steps that took no slot (one round's deferrals)."""
+        self.deferred_steps += count
 
-    def record_occupancy(self, slots_used: Sequence[int]) -> None:
+    def record_occupancy(
+        self, slots_used: Sequence[int], cells: Optional[Sequence[int]] = None
+    ) -> None:
         """Fold one round's per-cell slot usage into the histogram.
 
         One counting pass over the round; new keys enter the histogram in
         the order they first appear in ``slots_used``, as a per-cell loop
-        would insert them.
+        would insert them.  With ``cells`` the round comes folded already:
+        ``cells[k]`` cells used ``slots_used[k]`` slots, the distinct
+        counts in the order they first appear.
         """
         occupancy = self.channel_occupancy
-        for used, cells in Counter(slots_used).items():
+        folded = Counter(slots_used).items() if cells is None else zip(slots_used, cells)
+        for used, count in folded:
             key = int(used)
-            occupancy[key] = occupancy.get(key, 0) + cells
+            occupancy[key] = occupancy.get(key, 0) + count
 
     # ------------------------------------------------------------------
     @property

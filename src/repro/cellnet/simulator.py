@@ -300,7 +300,7 @@ class CellularSimulator:
                 capacity=config.channel_capacity,
                 carriers=config.carriers,
                 max_wait=config.max_wait,
-                device_cells=self._cells_list,
+                device_cells=self._cell_array,
                 on_found=self._on_found,
                 injector=self._injector,
                 recovery=self._recovery,
@@ -697,9 +697,13 @@ class CellularSimulator:
     def device_cell(self, device: int) -> int:
         return self._cells.item(device)
 
-    def _cells_list(self) -> List[int]:
-        """Every device's cell, as the scheduler reads them once per round."""
-        return self._cells.tolist()
+    def _cell_array(self) -> np.ndarray:
+        """Every device's cell, as the scheduler reads them once per round.
+
+        The array itself, updated in place each step, so the compiled
+        round reads it where it is.
+        """
+        return self._cells
 
     def estimated_prior(self, device: int, time: int = 0) -> np.ndarray:
         """The current belief (for estimation-quality checks).

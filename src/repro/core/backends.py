@@ -30,9 +30,14 @@ step that :func:`repro.cellnet.mobility.step_random_walks` runs when
 the draws in Python.  It also holds ``repro_draw_participants``, the
 sorted ``Generator.choice(n, size, replace=False)`` that
 :class:`repro.cellnet.calls.PoissonConferenceCalls` draws a call's
-participants with; without the library that class calls ``choice``.  So
-``REPRO_DISABLE_COMPILED`` switches movement and participant draws as well
-as planning, and ``planner.backend_fallback`` counts every kind of call.
+participants with; without the library that class calls ``choice``.  And
+it holds ``repro_serve_round``, one shared paging round of
+:class:`repro.cellnet.engine.ChannelScheduler` over its call slots, bound
+once through a ``RoundState`` structure; without the library (or when
+pages can be lost) the scheduler serves the same slots in Python.  So
+``REPRO_DISABLE_COMPILED`` switches movement, participant draws and
+contended rounds as well as planning, and ``planner.backend_fallback``
+counts every kind of call.
 
 Environment (tested in ``tests/core/test_backends.py``):
 
@@ -166,6 +171,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_step_walks.argtypes = [ptr, ssize, ptr, ptr, ssize, ptr, ptr, ptr]
     lib.repro_draw_participants.restype = ctypes.c_int
     lib.repro_draw_participants.argtypes = [ptr, ssize, ssize, ptr]
+    lib.repro_serve_round.restype = ssize
+    lib.repro_serve_round.argtypes = [ptr, ptr, ssize]
     return lib
 
 
