@@ -119,19 +119,29 @@ class FaultModel:
                 raise SimulationError("outages must be CellOutage entries")
 
     @property
+    def loses_pages(self) -> bool:
+        """True when some page can be lost (``page_loss`` or a cell's own)."""
+        if self.page_loss > 0.0:
+            return True
+        return any(float(p) > 0.0 for p in dict(self.cell_page_loss).values())
+
+    @property
     def is_zero(self) -> bool:
         """True when the model injects nothing (the simulator bypasses it)."""
-        if self.page_loss > 0.0 or self.update_loss > 0.0:
-            return False
-        if any(float(p) > 0.0 for p in dict(self.cell_page_loss).values()):
+        if self.loses_pages or self.update_loss > 0.0:
             return False
         return not self.outages and self.stale_after is None
 
     def loss_probability(self, cell: int) -> float:
+        if not self.cell_page_loss:
+            return float(self.page_loss)
         return float(dict(self.cell_page_loss).get(cell, self.page_loss))
 
     def cell_down(self, cell: int, time: int) -> bool:
-        return any(o.cell == cell and o.active(time) for o in self.outages)
+        for outage in self.outages:
+            if outage.cell == cell and outage.active(time):
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -203,12 +213,13 @@ class FaultInjector:
 
     def page_delivered(self, cell: int, time: int) -> bool:
         """One paging message to ``cell``: delivered, lost, or blocked."""
-        if self.model.cell_down(cell, time):
+        model = self.model
+        if model.outages and model.cell_down(cell, time):
             if self._metrics is not None:
                 self._metrics.record_outage_page()
             count("faults.outage_pages")
             return False
-        probability = self.model.loss_probability(cell)
+        probability = model.loss_probability(cell)
         if probability <= 0.0:
             return True
         if self._rng.random() < probability:
