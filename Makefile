@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test docs-test lint lint-deep bench faults-smoke solvers-smoke report save-report examples all clean
+.PHONY: install test docs-test lint lint-deep faults-smoke solvers-smoke report save-report examples all clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -17,15 +17,12 @@ docs-test:
 	$(PYTHON) -m repro.lint src
 
 lint:
-	$(PYTHON) -m repro.lint src tests benchmarks scripts
+	$(PYTHON) -m repro.lint src tests scripts
 
 # Adds the whole-program dataflow pass (RPL008 exactness taint, RPL009
 # seed flow, RPL010 shared-state safety) on top of the per-file rules.
 lint-deep:
-	$(PYTHON) -m repro.lint --deep src tests benchmarks scripts
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m repro.lint --deep src tests scripts
 
 # Tiny fault-matrix scenario: zero-fault bypass, reproducibility under
 # faults, and the delay-budget cap (docs/robustness.md); CI runs this.
@@ -51,8 +48,8 @@ examples:
 		echo; \
 	done
 
-all: lint test bench report
+all: lint test report
 
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results reports src/repro.egg-info
+	rm -rf .pytest_cache .hypothesis reports src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,8 +1,8 @@
 """Run every experiment and render the full report.
 
 ``python -m repro.experiments.runner`` regenerates all experiment tables —
-the per-table functions are also what the benchmark suite calls, so the
-printed report and the benchmark assertions always agree.
+the per-table functions are also what ``tests/experiments`` calls, so the
+printed report and the tests' paper claims always agree.
 
 :func:`run_experiments` is a serial loop over the selection: each
 experiment runs in its own ``experiments.<id>`` span and the tables come
@@ -15,10 +15,12 @@ selection (:func:`spawn_task_seed`), so a seeded run is reproducible.
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..lint import DEFAULT_TARGETS, find_project_root, load_config, run_lint
 from ..obs import JsonlSink, Tracer, current_tracer, use_tracer
 
 from .advanced import (
@@ -157,7 +159,7 @@ def run_experiments(
 
 
 def lint_attestation(
-    targets: Sequence[str] = ("src", "tests", "benchmarks", "scripts"),
+    targets: Sequence[str] = DEFAULT_TARGETS,
 ) -> "Dict[str, object]":
     """Run ``repro lint`` over ``targets`` and summarize the outcome.
 
@@ -167,10 +169,6 @@ def lint_attestation(
     package with no source checkout, ``targets`` is empty and ``clean`` is
     ``None`` — the attestation is "not applicable", not "passed".
     """
-    from pathlib import Path
-
-    from ..lint import find_project_root, load_config, run_lint
-
     root = find_project_root(Path.cwd()) or Path.cwd()
     present = [target for target in targets if (root / target).exists()]
     payload: Dict[str, object] = {
@@ -198,7 +196,7 @@ def lint_attestation(
 def save_report(
     directory: str,
     names: Optional[Sequence[str]] = None,
-    lint_targets: Optional[Sequence[str]] = ("src", "tests", "benchmarks", "scripts"),
+    lint_targets: Optional[Sequence[str]] = DEFAULT_TARGETS,
     *,
     trace: bool = True,
 ) -> List[str]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .callgraph import DefUse, ProjectGraph, def_use_chains
 from .engine import (
+    DEFAULT_TARGETS,
     EXIT_CLEAN,
     EXIT_USAGE,
     EXIT_VIOLATIONS,
@@ -33,6 +34,7 @@ from .rules import ALL_CODES, LintConfig, RULES, Rule, Violation
 __all__ = [
     "ALL_CODES",
     "DEEP_CODES",
+    "DEFAULT_TARGETS",
     "DefUse",
     "EXIT_CLEAN",
     "EXIT_USAGE",

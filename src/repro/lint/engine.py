@@ -44,6 +44,9 @@ from .rules import (
     Violation,
 )
 
+#: What a bare ``repro lint`` (and the report's ``lint.json``) checks.
+DEFAULT_TARGETS = ("src", "tests", "scripts")
+
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
@@ -433,8 +436,8 @@ def run_lint(
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro lint`` options to an argparse parser."""
     parser.add_argument(
-        "paths", nargs="*", default=["src", "tests", "benchmarks", "scripts"],
-        help="files or directories to lint (default: src tests benchmarks scripts)",
+        "paths", nargs="*", default=list(DEFAULT_TARGETS),
+        help=f"files or directories to lint (default: {' '.join(DEFAULT_TARGETS)})",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(

@@ -17,7 +17,9 @@ depend on the clock; E27 must also report ``identical`` on every row.
 ``spawn_task_seed(seed, index)`` for its position in the selection, and
 E11b and E24 sit at non-zero positions whose seeding shows in the table.
 
-Every table runs once per planner backend and is shared by its tests.
+Every table runs once per planner backend and is shared by its tests,
+which also assert the paper claims of the tables run at their defaults
+(E1, E2, E4, E9) at no extra cost.
 """
 
 from __future__ import annotations
@@ -161,3 +163,32 @@ def test_seeded_run(backend):
     assert [table.experiment_id for table in seeded] == SEEDED_SELECTION
     assert _digest(render_all(seeded)) == SEEDED_RENDERED
     assert _digest(repr([table.rows for table in seeded])) == SEEDED_ROWS
+
+
+def test_e01_uniform_optimum_is_the_closed_form(backend, tables):
+    for row in _table(tables, backend, "E1").as_dicts():
+        assert row["optimal_ep"] == pytest.approx(row["closed_form"])
+        if row["d"] == 2:
+            assert row["saving"] == pytest.approx(row["c"] / 4)  # EP = 3c/4
+
+
+def test_e02_every_variant_has_ratio_320_317(backend, tables):
+    for row in _table(tables, backend, "E2").as_dicts():
+        assert row["ratio"] == pytest.approx(320 / 317, abs=2e-4)
+
+
+def test_e04_lemma31_maximum_on_every_cell_count(backend, tables):
+    table = _table(tables, backend, "E4")
+    assert all(value == "True" for value in table.column("grid_holds"))
+    for gradient in table.column("grad_norm"):
+        assert gradient < 1e-3
+
+
+def test_e09_paging_falls_with_delay(backend, tables):
+    table = _table(tables, backend, "E9")
+    optimal = table.column("optimal_ep")
+    assert optimal[0] == pytest.approx(10.0)  # d = 1 means blanket paging
+    for i in range(len(optimal) - 1):
+        assert optimal[i + 1] <= optimal[i] + 1e-9
+    for opt, heur in zip(optimal, table.column("heuristic_ep")):
+        assert opt <= heur + 1e-9

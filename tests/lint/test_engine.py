@@ -5,6 +5,7 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.lint import (
+    DEFAULT_TARGETS,
     EXIT_CLEAN,
     EXIT_USAGE,
     EXIT_VIOLATIONS,
@@ -37,6 +38,13 @@ class TestCleanTree:
         assert result.exit_code == EXIT_VIOLATIONS
         codes = set(result.counts())
         assert {"RPL001", "RPL002", "RPL003", "RPL006"} <= codes
+
+    def test_every_default_target_exists(self):
+        """A bare `repro lint` (and the report's lint.json) finds each target."""
+        root = find_project_root(Path(__file__))
+        assert root == REPO_ROOT
+        missing = [target for target in DEFAULT_TARGETS if not (root / target).is_dir()]
+        assert not missing
 
     def test_project_config_excludes_fixtures(self):
         config = load_config(REPO_ROOT)
