@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 
+# Every target imports the package from src/, installed or not.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test docs-test lint lint-deep faults-smoke solvers-smoke report save-report examples all clean
 
 install:

@@ -3,8 +3,8 @@
 Theorem 4.8 guarantees ``EP_heuristic / EP_optimal <= e/(e-1)`` and Section
 4.3 shows the ratio can reach ``320/317``.  This harness sweeps instance
 families, solves each instance both heuristically and exactly, and aggregates
-the observed ratios so the benchmarks can report where the heuristic actually
-lands between those two bounds.
+the observed ratios so the experiment tables can report where the heuristic
+actually lands between those two bounds.
 """
 
 from __future__ import annotations

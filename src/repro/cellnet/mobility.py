@@ -91,7 +91,7 @@ class BoundWalks:
 
     def __init__(
         self,
-        bit_generator: np.random.PCG64,
+        bit_generator: np.random.BitGenerator,
         cells: np.ndarray,
         stays: np.ndarray,
         csr: Tuple[np.ndarray, np.ndarray],
@@ -133,20 +133,28 @@ class BoundWalks:
         :class:`~repro.errors.SimulationError` before anything is drawn.
 
         With the compiled library (:func:`~repro.core.backends.auto_kernel`,
-        asked on every step) the loop runs in C on the generator's own
+        asked on every step) the loop runs in C on the bit generator's own
         ``next_double`` and ``next_uint32``, holding ``bit_generator.lock``
-        as ``Generator`` methods do.  Without it,
-        :func:`_emulate_random_walks` reproduces the draws from raw PCG64
-        output, so the generator must be an exact ``np.random.PCG64``.
+        as ``Generator`` methods do, so it replays any numpy bit generator.
+        Without it the same loop runs in Python: ``random()``, then
+        ``integers(k)`` when the device moves and has ``k`` neighbors, the
+        very calls :meth:`RandomWalk.step` makes.
         """
         kernel = auto_kernel()
         if kernel is None:
-            starts = self.cells.tolist()
-            if starts and (min(starts) < 0 or max(starts) >= self.csr[0].size - 1):
+            offsets, flat = (array.tolist() for array in self.csr)
+            cells = self.cells.tolist()
+            if cells and (min(cells) < 0 or max(cells) >= len(offsets) - 1):
                 raise SimulationError(_OFF_TOPOLOGY)
-            self.out[...] = _emulate_random_walks(
-                self.bit_generator, starts, self.stays.tolist(), self.csr
-            )
+            rng = np.random.Generator(self.bit_generator)
+            for index, (cell, stay) in enumerate(zip(cells, self.stays.tolist())):
+                if rng.random() < stay:
+                    continue
+                first = offsets[cell]
+                k = offsets[cell + 1] - first
+                if k:
+                    cells[index] = flat[first + rng.integers(k)]
+            self.out[...] = cells
             return self.out
         with self.bit_generator.lock:
             status = kernel.repro_step_walks(*self.arguments)
@@ -156,7 +164,7 @@ class BoundWalks:
 
 
 def step_random_walks(
-    bit_generator: np.random.PCG64,
+    bit_generator: np.random.BitGenerator,
     cells: Union[Sequence[int], np.ndarray],
     stay: Union[Sequence[float], np.ndarray],
     neighbors: Sequence[Sequence[int]],
@@ -184,84 +192,6 @@ def step_random_walks(
         build_neighbor_csr(neighbors) if csr is None else csr,
     ).step()
     return moved if as_array else moved.tolist()
-
-
-#: ``Generator.random()`` is ``(raw >> 11) * _DOUBLE_UNIT`` of one raw draw.
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0
-_MASK32 = 0xFFFFFFFF
-_TWO32 = 0x100000000
-
-
-def _emulate_random_walks(
-    bit_generator: np.random.PCG64,
-    cells: Sequence[int],
-    stay: Sequence[float],
-    csr: Tuple[np.ndarray, np.ndarray],
-) -> List[int]:
-    """:meth:`BoundWalks.step` from one block of raw PCG64 draws.
-
-    The path for a host with no C compiler.  The scan emulates the two
-    ``Generator`` calls on PCG64:
-
-    * ``random()`` takes one raw 64-bit draw ``r`` and returns
-      ``(r >> 11) * 2**-53``.  It does not touch the 32-bit buffer.
-    * ``integers(k)`` for ``k >= 2`` takes one 32-bit half: the buffered
-      half if the state holds one (``has_uint32``/``uinteger``), else the
-      low half of a fresh raw draw, buffering the high half.  Lemire's
-      method maps it to ``(half * k) >> 32`` and rejects it, drawing another
-      half, while ``(half * k) mod 2**32 < (2**32 - k) % k``.
-      ``integers(1)`` draws nothing.
-
-    Every other bit generator splits its draws differently.
-    """
-    state = bit_generator.state
-    has_half = state["has_uint32"]
-    half = state["uinteger"]
-    # A device takes at most two raw draws unless Lemire rejects a half;
-    # each rejection extends the block by one draw, so it never runs out.
-    block = bit_generator.random_raw(2 * len(cells) + 2).tolist()
-    offsets, flat = (array.tolist() for array in csr)
-    used = 0
-    out: List[int] = []
-    append = out.append
-    for cell, probability in zip(cells, stay):
-        raw = block[used]
-        used += 1
-        if (raw >> 11) * _DOUBLE_UNIT < probability:
-            append(cell)
-            continue
-        first = offsets[cell]
-        k = offsets[cell + 1] - first
-        if k < 2:
-            append(flat[first] if k else cell)
-            continue
-        while True:
-            if has_half:
-                has_half = 0
-                draw = half
-            else:
-                raw = block[used]
-                used += 1
-                draw = raw & _MASK32
-                half = raw >> 32
-                has_half = 1
-            product = draw * k
-            low = product & _MASK32
-            if low >= k or low >= (_TWO32 - k) % k:
-                break
-            block.extend(bit_generator.random_raw(1).tolist())
-        append(flat[first + (product >> 32)])
-    # Rewind to the draws actually used.  advance() clears the 32-bit
-    # buffer, which the scan may have filled (or left stale, as the
-    # generator itself does), so both fields are written back.
-    bit_generator.state = state
-    bit_generator.advance(used)
-    if has_half or half:
-        state = bit_generator.state
-        state["has_uint32"] = has_half
-        state["uinteger"] = half
-        bit_generator.state = state
-    return out
 
 
 class RandomWaypoint:

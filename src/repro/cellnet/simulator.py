@@ -34,19 +34,20 @@ construction.
 
 Movement is drawn in one call per step when that provably replays the
 per-device loop: every device walks an exact
-:class:`~repro.cellnet.mobility.RandomWalk` on this topology, the stream is
-``np.random.PCG64``, and no update-loss fault draws between device steps.
+:class:`~repro.cellnet.mobility.RandomWalk` on this topology and no
+update-loss fault draws between device steps.
 :meth:`BoundWalks.step <repro.cellnet.mobility.BoundWalks.step>` then runs
 the ``RandomWalk.step`` loop in the compiled library, drawing through the
-generator's own C functions, or, on a host with no C compiler (or with
-``REPRO_DISABLE_COMPILED`` set), emulates those calls from raw PCG64
-draws.  Either way it leaves the generator where the scalar loop would
-have left it, so results and digests do not depend on which path ran.
-Every other population (waypoint, gravity, mixed lists, subclasses, other
-bit generators) is stepped one device at a time.  The choice is made once,
-at construction, from those inputs alone (docs/performance.md, "Batched
-movement"), and so is the walk call's :class:`~repro.cellnet.mobility.BoundWalks`:
-the kernel's addresses, read once, and its reused output buffer.
+bit generator's own C functions, or, on a host with no C compiler (or with
+``REPRO_DISABLE_COMPILED`` set), makes the same ``Generator`` calls in a
+Python loop.  Either way it leaves the generator where the scalar loop
+would have left it, on any numpy bit generator, so results and digests do
+not depend on which path ran.  Every other population (waypoint, gravity,
+mixed lists, subclasses) is stepped one device at a time.  The choice is
+made once, at construction, from those inputs alone (docs/performance.md,
+"Batched movement"), and so is the walk call's
+:class:`~repro.cellnet.mobility.BoundWalks`: the kernel's addresses, read
+once, and its reused output buffer.
 
 Each device's state is an entry of arrays on the simulator: its cell, the
 cell it last reported, steps since that report, and the step its active
@@ -190,22 +191,16 @@ class SimulationConfig:
 def _batched_walk_stays(
     models: Sequence[MobilityModel],
     topology: CellTopology,
-    rng: np.random.Generator,
     faults: Optional[FaultModel],
 ) -> Optional[List[float]]:
     """Per-device stay probabilities if movement may take the batch, else None.
 
     :meth:`~repro.cellnet.mobility.BoundWalks.step` replays the scalar
-    loop draw for draw only when the stream is PCG64 (the only bit
-    generator its no-compiler emulation handles; the compiled path keeps
-    the same rule, so which runs batch does not depend on the host), every
-    model is an exact :class:`RandomWalk`
-    (a subclass may override ``step``) walking this topology, and nothing
-    draws between two device steps, as lost location updates do
-    (``FaultInjector.update_delivered``).
+    loop draw for draw, on any bit generator, when every model is an exact
+    :class:`RandomWalk` (a subclass may override ``step``) walking this
+    topology and nothing draws between two device steps, as lost location
+    updates do (``FaultInjector.update_delivered``).
     """
-    if type(rng.bit_generator) is not np.random.PCG64:
-        return None
     if faults is not None and faults.update_loss > 0.0:
         return None
     if not all(
@@ -346,7 +341,7 @@ class CellularSimulator:
         # Device i's count of cell x is entry row_base[i] + x of the flat view.
         self._visit_flat = self._visit_counts.reshape(-1)
         self._row_base = self._device_rows * c
-        stays = _batched_walk_stays(mobility_models, topology, rng, config.faults)
+        stays = _batched_walk_stays(mobility_models, topology, config.faults)
         self._walk_stays = None if stays is None else np.array(stays, dtype=float)
         cells: List[int] = []
         for index in range(n):

@@ -31,7 +31,7 @@ one engine serves both: each routine below takes the quorum and a planner
   everything left.  For Conference Call the value is a true lower bound on
   every adaptive (and hence every oblivious) strategy, so
   ``optimal_oblivious / optimal_adaptive`` measures the *adaptivity gap* —
-  benchmark E19.
+  experiment E19.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def adaptivity_gap(
     """``(optimal_oblivious, optimal_adaptive, ratio)`` for one instance.
 
     The ratio is at least 1; how large it can grow is the paper's open
-    question, which benchmark E19 probes empirically.
+    question, which experiment E19 probes empirically.
     """
     from .exact import optimal_strategy
 

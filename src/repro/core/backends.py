@@ -26,9 +26,10 @@ that must know the kernel loads.
 
 The same library holds ``repro_step_walks``, the batched ``RandomWalk``
 step that :func:`repro.cellnet.mobility.step_random_walks` runs when
-:func:`auto_kernel` returns the library; without it that function emulates
-the draws in Python.  It also holds ``repro_draw_participants``, the
-sorted ``Generator.choice(n, size, replace=False)`` that
+:func:`auto_kernel` returns the library; without it that function makes
+the same ``Generator`` calls in a Python loop.  It also holds
+``repro_draw_participants``, the sorted
+``Generator.choice(n, size, replace=False)`` that
 :class:`repro.cellnet.calls.PoissonConferenceCalls` draws a call's
 participants with; without the library that class calls ``choice``.  And
 it holds ``repro_serve_round``, one shared paging round of

@@ -64,7 +64,7 @@ def profile_heuristic(instance: PagingInstance) -> OrderedDPResult:
     Orders cells by weight, then cuts at positions ``round(b_r)`` where
     ``b_1 < ... < b_d = c`` is the alpha-recursion chain — the group-size
     profile that is exactly optimal for the hardness gadget's worst case.
-    ``O(c log c)`` total: an ablation of the DP component (benchmark A3).
+    ``O(c log c)`` total: an ablation of the DP component (ablation A3).
     Falls back to balanced groups when ``m = 1`` or ``d = 1`` is degenerate
     for the recursion.
 

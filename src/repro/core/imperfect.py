@@ -16,7 +16,7 @@ constant detection probability ``q`` the expected paging has a closed form::
 whole sweeps, so the *ordering problem is unchanged* — the optimal strategy
 under imperfect detection is the optimal strategy under perfect detection.
 The multi-device collision model has no such form and is evaluated by
-Monte-Carlo; benchmark E20 sweeps it.
+Monte-Carlo; experiment E20 sweeps it.
 """
 
 from __future__ import annotations

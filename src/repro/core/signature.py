@@ -132,7 +132,7 @@ def signature_heuristic(
     Uses the Conference Call ordering (expected devices per cell).  For
     ``quorum = m`` this coincides with the paper's e/(e-1) heuristic; for
     smaller quorums it is a natural but unanalyzed heuristic whose behavior
-    benchmark E11 sweeps.
+    experiment E11 sweeps.
 
     replint: solver
     """

@@ -126,7 +126,7 @@ def weighted_weight_order(
     """The paper's pure weight ordering under heterogeneous costs.
 
     Orders cells by expected devices (ignoring the costs) and then cuts
-    with the weighted DP — the ablation benchmark E25 compares against the
+    with the weighted DP — the ablation experiment E25 compares against the
     density ordering to show why mass-per-cost matters.
 
     replint: solver

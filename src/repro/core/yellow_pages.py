@@ -13,7 +13,7 @@ candidate: solve the optimal single-device problem for each device separately
 and keep the best of those strategies — finding any one device can never cost
 more than finding the cheapest single device, and the optimum for ``m``
 devices is at least ``1/m`` of the sum bound, yielding the ``m`` factor.
-Empirical comparisons live in benchmark E11.
+Empirical comparisons live in experiment E11.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def yellow_pages_weight_order(
     """The Conference Call weight ordering applied to Yellow Pages.
 
     The paper notes this is NOT a constant-factor approximation for the
-    Yellow Pages objective; benchmark E11 measures how it degrades.
+    Yellow Pages objective; experiment E11 measures how it degrades.
 
     replint: solver
     """

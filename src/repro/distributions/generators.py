@@ -3,7 +3,7 @@
 The paper models each mobile device as a probability vector over the cells of
 a location area and cites profile-based estimation work [15, 16] for where
 those vectors come from.  This module supplies the synthetic families used by
-the benchmarks: uniform, Zipf-like, geometric, Dirichlet, hotspot (a home
+the experiments: uniform, Zipf-like, geometric, Dirichlet, hotspot (a home
 cell plus decaying neighborhood), and two-tier home/roam mixtures — all
 normalized, strictly positive unless asked otherwise, and reproducible via an
 injected :class:`numpy.random.Generator`.
@@ -213,7 +213,7 @@ def instance_family(
     *,
     rng: np.random.Generator,
 ) -> PagingInstance:
-    """Dispatch by family name — the benchmarks' single entry point."""
+    """Dispatch by family name — the experiments' single entry point."""
     factories = {
         "uniform": lambda: uniform_instance(num_devices, num_cells, max_rounds),
         "dirichlet": lambda: dirichlet_instance(

@@ -1,8 +1,8 @@
 """System-level experiments (E7, E13, E27).
 
 * E7 — the Theorem 4.8 complexity claim: heuristic runtime grows as
-  ``O(c (m + d c))``.  The benchmark measures wall time; this module supplies
-  the workload grid and a normalized-cost check.
+  ``O(c (m + d c))``.  The table records the best wall time of each size
+  on its workload grid, normalized by that work term.
 * E13 — the end-to-end cellular simulation: conference calls in a GSM-style
   system under blanket LA paging vs the paper's heuristic vs the adaptive
   variant, with identical mobility and call streams.

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
 Every experiment returns an :class:`ExperimentTable` — a titled list of rows —
-so benchmarks, examples, and EXPERIMENTS.md all print the same artifacts.
+so the runner, examples, and EXPERIMENTS.md all print the same artifacts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ExperimentTable:
         self.notes.append(note)
 
     def column(self, name: str) -> List[Cell]:
-        """All values of one column (for assertions in tests/benchmarks)."""
+        """All values of one column (for assertions in the tier-1 tests)."""
         index = list(self.columns).index(name)
         return [row[index] for row in self.rows]
 

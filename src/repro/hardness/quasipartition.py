@@ -15,7 +15,7 @@ with a large power of two (forcing the witness cardinality), adding filler
 zeros, and planting two dominant "special" sizes that pin down which side of
 the split each falls on.  :func:`reduce_partition_to_quasipartition2`
 implements that construction verbatim; the round-trip is validated by exact
-solvers on both ends in the tests and in benchmark E14.
+solvers on both ends in the tests and in experiment E14.
 """
 
 from __future__ import annotations

@@ -62,15 +62,39 @@ def _cell_of_degree(topology, degree):
 
 
 #: The movement paths this host runs: the compiled kernel when it loads,
-#: and always the emulation a host with no C compiler runs.
-WALK_PATHS = ("compiled", "emulation") if compiled_available() else ("emulation",)
+#: and always the Python loop a host with no C compiler runs.
+WALK_PATHS = ("compiled", "python") if compiled_available() else ("python",)
+
+#: numpy's bit generators; the batch must replay the scalar loop on each.
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+
+def _same_state(first, second):
+    """Two bit generators' states are equal, field by field.
+
+    MT19937 keeps its key as an array, so ``==`` on the dicts would raise.
+    """
+    if first.keys() != second.keys():
+        return False
+    return all(
+        _same_state(first[key], second[key])
+        if isinstance(first[key], dict)
+        else np.array_equal(first[key], second[key])
+        for key in first
+    )
 
 
 @contextmanager
 def _on_path(path):
     """Run the block on one movement path, switched the way CI switches it."""
     with pytest.MonkeyPatch.context() as patch:
-        if path == "emulation":
+        if path == "python":
             patch.setenv("REPRO_DISABLE_COMPILED", "1")
         yield
 
@@ -95,28 +119,30 @@ def _scalar_and_batch(topology, stay, cells, steps, make_rng):
                     batch.bit_generator, actual[path], stays, table
                 )
             assert actual[path] == expected
-            assert batch.bit_generator.state == scalar.bit_generator.state
+            assert _same_state(batch.bit_generator.state, scalar.bit_generator.state)
 
 
 class TestStepRandomWalks:
-    """The batch replays ``RandomWalk.step`` on numpy's PCG64 stream.
+    """The batch replays ``RandomWalk.step`` on numpy's generator streams.
 
     Every test runs each path in :data:`WALK_PATHS`.  If numpy ever changes
-    how ``random()`` or ``integers(k)`` consume PCG64 draws, these tests
-    fail here, by name, before any simulator digest.
+    how ``random()`` or ``integers(k)`` consume a bit generator's draws,
+    these tests fail here, by name, before any simulator digest.
     """
 
     @pytest.mark.parametrize("stay", [0.0, 0.3, 0.9])
     @pytest.mark.parametrize("seed", [0, 7, 29, 2002])
     def test_matches_scalar_steps_and_state(self, topology, seed, stay):
+        """On every bit generator in :data:`BIT_GENERATORS`."""
         starts = np.random.default_rng(seed).integers(topology.num_cells, size=40)
-        _scalar_and_batch(
-            topology,
-            stay,
-            [int(cell) for cell in starts],
-            50,
-            lambda: np.random.default_rng(seed),
-        )
+        for bit_generator in BIT_GENERATORS:
+            _scalar_and_batch(
+                topology,
+                stay,
+                [int(cell) for cell in starts],
+                50,
+                lambda: np.random.Generator(bit_generator(seed)),
+            )
 
     @pytest.mark.parametrize(
         "topology, degree",

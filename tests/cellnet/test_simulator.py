@@ -446,9 +446,10 @@ class TestBatchedMovement:
         assert len(batches) == 150
 
     @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM])
-    def test_other_bit_generators_keep_scalar_loop(self, batches, bit_generator):
-        _run_walks(RandomWalk, bit_generator=bit_generator)
-        assert batches == []
+    def test_other_bit_generators_take_the_batch(self, batches, bit_generator):
+        batched = _run_walks(RandomWalk, bit_generator=bit_generator)
+        assert len(batches) == 150
+        assert batched == _run_walks(_Scalar, bit_generator=bit_generator)
 
     def test_mixed_models_keep_scalar_loop(self, batches):
         topology = CellTopology.hexagonal_disk(2)
