@@ -5,7 +5,23 @@ PYTHON ?= python
 # Every target imports the package from src/, installed or not.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test docs-test lint lint-deep faults-smoke solvers-smoke report save-report examples all clean
+.PHONY: help install test docs-test lint lint-deep faults-smoke solvers-smoke report save-report examples all clean
+
+# The default goal: lists the targets and installs nothing, so a bare
+# `make` is safe offline.
+help:
+	@echo "make install        editable install of the package and its deps"
+	@echo "make test           pytest tests/"
+	@echo "make docs-test      run every python block in README.md and docs/"
+	@echo "make lint           repro lint src tests scripts (RPL001-RPL007)"
+	@echo "make lint-deep      lint plus the deep pass (RPL008-RPL009)"
+	@echo "make faults-smoke   tiny fault-matrix scenario"
+	@echo "make solvers-smoke  solver registry contract checks"
+	@echo "make report         regenerate every experiment table"
+	@echo "make save-report    write the tables and lint.json to reports/"
+	@echo "make examples       run every script in examples/"
+	@echo "make all            lint, test and report"
+	@echo "make clean          remove caches and reports/"
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -23,7 +39,7 @@ lint:
 	$(PYTHON) -m repro.lint src tests scripts
 
 # Adds the whole-program dataflow pass (RPL008 exactness taint, RPL009
-# seed flow, RPL010 shared-state safety) on top of the per-file rules.
+# seed flow) on top of the per-file rules.
 lint-deep:
 	$(PYTHON) -m repro.lint --deep src tests scripts
 

@@ -52,7 +52,7 @@ COMMAND_SUMMARY: "dict[str, str]" = {
     "experiments": "regenerate experiment tables (all or by id; --list)",
     "gadget": "run the Lemma 3.2 NP-hardness reduction",
     "render": "ASCII map of a network's areas or a plan",
-    "lint": "domain-aware static analysis (RPL001-RPL010, --deep dataflow)",
+    "lint": "domain-aware static analysis (RPL001-RPL009, --deep dataflow)",
     "serve-bench": "closed-loop throughput benchmark of the paging service",
     "timevary": "run the joint paging/registration (HMY) iteration",
     "contention": "sweep blocking vs offered load on shared paging channels",
@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from .lint.engine import add_lint_arguments
 
     lint = commands.add_parser(
-        "lint", help="run the domain-aware static-analysis rules (RPL001-RPL007)"
+        "lint", help="run the domain-aware static-analysis rules (RPL001-RPL009)"
     )
     add_lint_arguments(lint)
 

@@ -165,7 +165,7 @@ def lint_attestation(
 
     The reproduction report embeds this so a rendered report also records
     that the tree satisfied the exactness/reproducibility/traceability
-    rules (RPL001–RPL006) at generation time.  When run from an installed
+    rules (RPL001–RPL007) at generation time.  When run from an installed
     package with no source checkout, ``targets`` is empty and ``clean`` is
     ``None`` — the attestation is "not applicable", not "passed".
     """

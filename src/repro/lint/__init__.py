@@ -28,7 +28,7 @@ from .engine import (
     main,
     run_lint,
 )
-from .flow import DEEP_CODES, FLOW_RULES, run_deep, write_baseline
+from .flow import DEEP_CODES, FLOW_RULES, run_deep
 from .rules import ALL_CODES, LintConfig, RULES, Rule, Violation
 
 __all__ = [
@@ -52,5 +52,4 @@ __all__ = [
     "main",
     "run_deep",
     "run_lint",
-    "write_baseline",
 ]

@@ -1,6 +1,6 @@
 """Whole-program model for the deep lint pass: modules, imports, calls.
 
-This is the substrate the RPL008-RPL010 flow rules run on:
+This is the substrate the RPL008-RPL009 flow rules run on:
 
 * a **project-wide import/symbol graph** — every analyzed file becomes a
   :class:`ModuleInfo` with its local-name → dotted-target import map and
@@ -10,8 +10,7 @@ This is the substrate the RPL008-RPL010 flow rules run on:
   dotted name (``numpy.random.default_rng``), or a method on an opaque
   receiver;
 * the **call graph** — edges between project functions, used for the
-  taint fixpoint (:mod:`repro.lint.taint`) and the RPL010 dispatch
-  reachability closure;
+  taint fixpoint (:mod:`repro.lint.taint`);
 * **per-function def-use chains** — the line-level def/use index that
   backs diagnostics and the docs examples.
 
@@ -28,14 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-#: Constructor calls whose result is a mutable container (RPL010).
-MUTABLE_CONSTRUCTORS = {
-    "list", "dict", "set", "bytearray", "defaultdict", "OrderedDict",
-    "Counter", "deque",
-}
-
 _EXACT_MARK = "replint: exact"
-_WORKER_MARK = "replint: worker"
 _SEED_DOMAIN_MARK = "replint: seed-domain"
 
 
@@ -52,7 +44,6 @@ class FunctionInfo:
     class_name: Optional[str] = None
     parent: Optional[str] = None   # qualname of the enclosing function
     exact_marked: bool = False     # name contains "exact" or docstring mark
-    worker_marked: bool = False    # docstring carries "replint: worker"
 
     @property
     def dotted(self) -> str:
@@ -76,8 +67,6 @@ class ModuleInfo:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     toplevel: Set[str] = field(default_factory=set)
     classes: Set[str] = field(default_factory=set)
-    #: module-level names bound to mutable containers → def line (RPL010)
-    mutable_globals: Dict[str, int] = field(default_factory=dict)
     seed_domain: bool = False      # docstring carries "replint: seed-domain"
 
 
@@ -129,17 +118,6 @@ def _docstring(node: ast.AST) -> str:
         return ast.get_docstring(node) or ""  # type: ignore[arg-type]
     except TypeError:
         return ""
-
-
-def _mutable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in MUTABLE_CONSTRUCTORS
-    )
 
 
 class ProjectGraph:
@@ -205,21 +183,18 @@ class ProjectGraph:
     def _collect_bindings(self, module: ModuleInfo) -> None:
         for node in module.tree.body:
             targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 module.toplevel.add(node.name)
             elif isinstance(node, ast.ClassDef):
                 module.toplevel.add(node.name)
                 module.classes.add(node.name)
             elif isinstance(node, ast.Assign):
-                targets, value = list(node.targets), node.value
+                targets = list(node.targets)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
+                targets = [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
                     module.toplevel.add(target.id)
-                    if value is not None and _mutable_value(value):
-                        module.mutable_globals[target.id] = target.lineno
         for local in module.imports:
             module.toplevel.add(local)
 
@@ -247,7 +222,6 @@ class ProjectGraph:
                         parent=parent,
                         exact_marked="exact" in node.name.lower()
                         or _EXACT_MARK in doc.lower(),
-                        worker_marked=_WORKER_MARK in doc.lower(),
                     )
                     module.functions[local] = info
                     self.functions[info.qualname] = info
@@ -378,18 +352,6 @@ class ProjectGraph:
     def calls_in(self, func: FunctionInfo) -> Iterator[ast.Call]:
         """Call expressions directly inside ``func`` (not in nested defs)."""
         return own_calls(func.node)
-
-    def reachable_from(self, roots: Sequence[str]) -> Set[str]:
-        """Transitive closure over call-graph edges from ``roots``."""
-        seen: Set[str] = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, ()))
-        return seen
 
     @property
     def edge_count(self) -> int:

@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .flow import (
-    DEEP_CODES,
-    FLOW_RULES,
-    apply_baseline,
-    load_baseline,
-    run_deep,
-    sarif_payload,
-    write_baseline,
-)
+from .flow import DEEP_CODES, FLOW_RULES, run_deep, sarif_payload
 from .rules import (
     ALL_CODES,
     LintConfig,
@@ -300,8 +292,6 @@ class LintResult:
     targets: Tuple[str, ...] = ()
     #: populated by ``--deep``: files/edges/taint-steps/cache stats
     deep_stats: Optional[Dict[str, object]] = None
-    #: findings dropped by a ``--baseline`` file
-    baseline_suppressed: int = 0
 
     @property
     def clean(self) -> bool:
@@ -328,8 +318,6 @@ class LintResult:
         }
         if self.deep_stats is not None:
             payload["deep"] = self.deep_stats
-        if self.baseline_suppressed:
-            payload["baseline_suppressed"] = self.baseline_suppressed
         return payload
 
     def to_sarif(self) -> Dict[str, object]:
@@ -346,7 +334,6 @@ def run_lint(
     *,
     deep: bool = False,
     deep_cache: bool = True,
-    baseline: Optional[Path] = None,
 ) -> LintResult:
     """Lint ``targets`` (files or directories) and return the result.
 
@@ -354,9 +341,8 @@ def run_lint(
     locations); it defaults to the nearest ancestor of the first target
     holding a pyproject.toml, falling back to the current directory.
 
-    ``deep=True`` additionally runs the whole-program RPL008-RPL010 pass
-    (:mod:`repro.lint.flow`); ``baseline`` drops findings recorded in a
-    ``replint-baseline/1`` file.
+    ``deep=True`` additionally runs the whole-program RPL008-RPL009 pass
+    (:mod:`repro.lint.flow`).
     """
     target_paths = [Path(target) for target in targets]
     for target in target_paths:
@@ -421,10 +407,6 @@ def run_lint(
         if not _suppressed(violation, lines):
             kept.append(violation)
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    if baseline is not None:
-        kept, result.baseline_suppressed = apply_baseline(
-            kept, load_baseline(baseline)
-        )
     result.violations = kept
     return result
 
@@ -446,19 +428,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--deep", action="store_true",
-        help="also run the whole-program RPL008-RPL010 dataflow pass",
+        help="also run the whole-program RPL008-RPL009 dataflow pass",
     )
     parser.add_argument(
         "--no-deep-cache", action="store_true",
         help="ignore and do not write the deep-pass findings cache",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="drop findings recorded in a replint-baseline/1 file",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write the run's findings to a baseline file and exit clean",
     )
     parser.add_argument(
         "--select", default=None,
@@ -513,7 +487,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"unknown rule code(s): {', '.join(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     output = args.format or ("json" if args.json else "text")
-    baseline = Path(args.baseline) if args.baseline else None
     try:
         result = run_lint(
             args.paths,
@@ -521,21 +494,10 @@ def run_from_args(args: argparse.Namespace) -> int:
             root=root,
             deep=args.deep,
             deep_cache=not args.no_deep_cache,
-            baseline=baseline,
         )
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as error:  # malformed baseline file
-        print(str(error), file=sys.stderr)
-        return EXIT_USAGE
-    if args.write_baseline:
-        written = write_baseline(result.violations, Path(args.write_baseline))
-        print(
-            f"replint: wrote {written} baseline entr"
-            f"{'y' if written == 1 else 'ies'} to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
     if output == "json":
         print(json.dumps(result.to_json(), indent=2))
     elif output == "sarif":
@@ -555,8 +517,6 @@ def run_from_args(args: argparse.Namespace) -> int:
                 f"{stats.get('taint_steps', 0)} taint steps, "
                 f"cache {'hit' if stats.get('cache_hit') else 'miss'}"
             )
-        if result.baseline_suppressed:
-            summary += f"; {result.baseline_suppressed} baselined"
         print(summary + ")")
     return result.exit_code
 

@@ -1,4 +1,4 @@
-"""The deep lint pass: RPL008-RPL010 over the whole-program model.
+"""The deep lint pass: RPL008-RPL009 over the whole-program model.
 
 ``run_deep`` is the orchestration layer the engine calls for
 ``repro lint --deep``:
@@ -7,15 +7,13 @@
    parsed files;
 2. run the two taint fixpoints (:class:`~repro.lint.taint.
    ExactnessPolicy` for RPL008, :class:`~repro.lint.taint.SeedFlowPolicy`
-   for RPL009) and the RPL010 shared-state scan;
+   for RPL009);
 3. cache the findings keyed by a digest of every file's content hash, the
    analyzer version, and the effective configuration — CI reruns on an
    unchanged tree are a single JSON read;
 4. emit a ``lint.deep`` span and counters through :mod:`repro.obs`.
 
-The module also owns the SARIF serialization and the baseline-file
-support (``--baseline`` / ``--write-baseline``) for adopting the deep
-rules on a tree with known, justified findings.
+The module also owns the SARIF serialization.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..obs import count, span
-from .callgraph import FunctionInfo, ModuleInfo, ProjectGraph, own_calls
+from .callgraph import ProjectGraph
 from .rules import LintConfig, Violation
 from .taint import (
     DEFAULT_SEED_DOMAIN,
@@ -39,9 +37,8 @@ from .taint import (
 )
 
 #: Bump when analysis semantics change — invalidates every cache.
-ANALYZER_VERSION = "1"
+ANALYZER_VERSION = "2"
 CACHE_FILENAME = ".replint-deep-cache.json"
-BASELINE_SCHEMA = "replint-baseline/1"
 
 
 @dataclass(frozen=True)
@@ -69,14 +66,6 @@ FLOW_RULES: Tuple[FlowRule, ...] = (
         "repro.distributions/repro.experiments/FaultInjector descends "
         "from an explicit SeedSequence or seeded Generator parameter",
     ),
-    FlowRule(
-        "RPL010",
-        "shared-state-safety",
-        "module-level mutables and closure-captured state must not be "
-        "mutated inside functions dispatched by the parallel runner "
-        "(pool.submit/map targets, Process/Thread targets, replint: "
-        "worker functions)",
-    ),
 )
 
 DEEP_CODES: Tuple[str, ...] = tuple(rule.code for rule in FLOW_RULES)
@@ -84,8 +73,8 @@ DEEP_CODES: Tuple[str, ...] = tuple(rule.code for rule in FLOW_RULES)
 
 def registry_exact_sinks() -> FrozenSet[str]:
     """Dotted names of exact-path functions declared by the solver
-    registry — the RPL008 sink set the tentpole derives from the
-    registry's adapter metadata.  Degrades to the marker-based sinks
+    registry — the RPL008 sink set, derived from the registry's adapter
+    metadata.  Degrades to the marker-based sinks
     alone when the registry (and its numpy dependency) is unavailable.
     """
     try:
@@ -97,230 +86,6 @@ def registry_exact_sinks() -> FrozenSet[str]:
         return frozenset(exact_sink_functions())
     except Exception:
         return frozenset()
-
-
-# ---------------------------------------------------------------------------
-# RPL010 — shared-state safety
-# ---------------------------------------------------------------------------
-
-_SUBMIT_METHODS = {"submit"}
-_MAP_METHODS = {
-    "map", "imap", "imap_unordered", "starmap", "starmap_async",
-    "map_async", "apply", "apply_async",
-}
-_THREAD_CONSTRUCTORS = {"Process", "Thread"}
-_MUTATOR_METHODS = {
-    "append", "extend", "insert", "add", "update", "setdefault", "pop",
-    "popitem", "remove", "discard", "clear", "appendleft", "extendleft",
-    "__setitem__",
-}
-
-
-def _resolve_func_ref(
-    graph: ProjectGraph,
-    module: ModuleInfo,
-    func: Optional[FunctionInfo],
-    expr: ast.expr,
-) -> Optional[FunctionInfo]:
-    """Resolve a function *reference* (not a call) to a project function."""
-    if isinstance(expr, ast.Call):
-        # functools.partial(f, ...) and friends: chase the first argument
-        if expr.args:
-            return _resolve_func_ref(graph, module, func, expr.args[0])
-        return None
-    if isinstance(expr, ast.Name):
-        target = module.functions.get(expr.id)
-        if target is not None and target.parent is None and target.class_name is None:
-            return target
-        if expr.id in module.imports:
-            return graph.resolve_dotted(module.imports[expr.id], module)
-        return None
-    if isinstance(expr, ast.Attribute):
-        parts: List[str] = []
-        node: ast.expr = expr
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        head = node.id
-        parts = parts[::-1]
-        if head == "self" and func is not None and func.class_name is not None:
-            return module.functions.get(f"{func.class_name}.{parts[-1]}")
-        if head in module.imports:
-            dotted = module.imports[head] + "." + ".".join(parts)
-            return graph.resolve_dotted(dotted, module)
-        return module.functions.get(".".join([head] + parts))
-    return None
-
-
-def _dispatch_roots(graph: ProjectGraph) -> List[str]:
-    """Qualnames of functions handed to a parallel executor (or marked)."""
-    roots = [
-        qualname
-        for qualname, info in graph.functions.items()
-        if info.worker_marked
-    ]
-    for module in graph.modules.values():
-        scopes: List[Tuple[Optional[FunctionInfo], ast.AST]] = [(None, module.tree)]
-        scopes += [(info, info.node) for info in module.functions.values()]
-        for func, node in scopes:
-            for call in own_calls(node):  # type: ignore[arg-type]
-                callee = graph.resolve_call(module, func, call)
-                candidates: List[ast.expr] = []
-                if callee.kind == "method" and callee.attr in (
-                    _SUBMIT_METHODS | _MAP_METHODS
-                ):
-                    candidates = list(call.args[:1])
-                elif callee.attr in _THREAD_CONSTRUCTORS:
-                    candidates = [
-                        kw.value for kw in call.keywords if kw.arg == "target"
-                    ]
-                for expr in candidates:
-                    target = _resolve_func_ref(graph, module, func, expr)
-                    if target is not None:
-                        roots.append(target.qualname)
-    return roots
-
-
-def _assigned_names(info: FunctionInfo) -> Set[str]:
-    """Names bound inside ``info`` itself (params + stores, no nested defs)."""
-    from .callgraph import own_statements, stmt_expressions, walk_expr
-
-    names = set(info.params)
-    for stmt in own_statements(info.node):
-        for expr in stmt_expressions(stmt):
-            for child in walk_expr(expr):
-                if isinstance(child, ast.Name) and isinstance(
-                    child.ctx, (ast.Store, ast.Del)
-                ):
-                    names.add(child.id)
-    return names
-
-
-def _enclosing_locals(graph: ProjectGraph, info: FunctionInfo) -> Dict[str, str]:
-    """name → enclosing function local-name, for every closure candidate."""
-    captured: Dict[str, str] = {}
-    parent = info.parent
-    while parent is not None:
-        outer = graph.functions.get(parent)
-        if outer is None:
-            break
-        for name in _assigned_names(outer):
-            captured.setdefault(name, outer.local)
-        parent = outer.parent
-    return captured
-
-
-def shared_state_findings(graph: ProjectGraph) -> Tuple[List[Finding], int]:
-    """RPL010: mutations of shared state reachable from parallel dispatch.
-
-    Returns the findings plus the number of functions in the dispatch
-    closure (for the stats/obs surface).
-    """
-    from .callgraph import own_statements, stmt_expressions, walk_expr
-
-    roots = _dispatch_roots(graph)
-    reachable = graph.reachable_from(roots)
-    findings: Set[Finding] = set()
-
-    def report(info: FunctionInfo, node: ast.AST, message: str) -> None:
-        findings.add(
-            Finding(
-                info.relpath,
-                getattr(node, "lineno", info.lineno),
-                getattr(node, "col_offset", 0) + 1,
-                "RPL010",
-                f"{message} (reached from parallel dispatch via "
-                f"{info.local!r})",
-            )
-        )
-
-    for qualname in sorted(reachable):
-        info = graph.functions[qualname]
-        module = graph.modules[info.relpath]
-        local_names = _assigned_names(info)
-        closure = _enclosing_locals(graph, info)
-        declared_global: Set[str] = set()
-        declared_nonlocal: Set[str] = set()
-        for stmt in own_statements(info.node):
-            if isinstance(stmt, ast.Global):
-                declared_global.update(stmt.names)
-            elif isinstance(stmt, ast.Nonlocal):
-                declared_nonlocal.update(stmt.names)
-        for stmt in own_statements(info.node):
-            for expr in stmt_expressions(stmt):
-                for child in walk_expr(expr):
-                    if isinstance(child, ast.Name) and isinstance(
-                        child.ctx, (ast.Store, ast.Del)
-                    ):
-                        if child.id in declared_global:
-                            report(
-                                info, child,
-                                f"module-level name {child.id!r} rebound in "
-                                "a worker; per-process/thread state races",
-                            )
-                        elif child.id in declared_nonlocal:
-                            report(
-                                info, child,
-                                f"closure variable {child.id!r} rebound in "
-                                "a worker; captured state is shared",
-                            )
-                    elif isinstance(child, ast.Call) and isinstance(
-                        child.func, ast.Attribute
-                    ):
-                        receiver = child.func.value
-                        method = child.func.attr
-                        if (
-                            method in _MUTATOR_METHODS
-                            and isinstance(receiver, ast.Name)
-                            and receiver.id not in local_names
-                        ):
-                            name = receiver.id
-                            if name in module.mutable_globals:
-                                report(
-                                    info, child,
-                                    f"module-level mutable {name!r} "
-                                    f"(defined line "
-                                    f"{module.mutable_globals[name]}) "
-                                    f"mutated via .{method}() in a worker",
-                                )
-                            elif name in closure:
-                                report(
-                                    info, child,
-                                    f"closure-captured {name!r} (from "
-                                    f"{closure[name]!r}) mutated via "
-                                    f".{method}() in a worker",
-                                )
-                    elif isinstance(
-                        child, (ast.Subscript, ast.Attribute)
-                    ) and isinstance(child.ctx, ast.Store):
-                        base = child.value
-                        while isinstance(base, (ast.Subscript, ast.Attribute)):
-                            base = base.value
-                        if (
-                            isinstance(base, ast.Name)
-                            and base.id not in local_names
-                            and base.id != "self"
-                        ):
-                            name = base.id
-                            if name in module.mutable_globals:
-                                report(
-                                    info, child,
-                                    f"module-level mutable {name!r} written "
-                                    "by subscript/attribute in a worker",
-                                )
-                            elif name in closure:
-                                report(
-                                    info, child,
-                                    f"closure-captured {name!r} (from "
-                                    f"{closure[name]!r}) written by "
-                                    "subscript/attribute in a worker",
-                                )
-    ordered = sorted(
-        findings, key=lambda f: (f.relpath, f.line, f.col, f.message)
-    )
-    return ordered, len(reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -378,77 +143,6 @@ def _write_cache(
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError:
         pass  # read-only checkout: caching is best-effort
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-def violation_fingerprints(violations: Sequence[Violation]) -> List[str]:
-    """Stable fingerprints: content-based, line-number-free.
-
-    Identical (code, path, message) triples are disambiguated by their
-    occurrence index so a baseline survives unrelated line shifts but
-    still tracks *how many* instances were accepted.
-    """
-    seen: Dict[Tuple[str, str, str], int] = {}
-    fingerprints = []
-    for violation in violations:
-        triple = (violation.code, violation.path, violation.message)
-        index = seen.get(triple, 0)
-        seen[triple] = index + 1
-        raw = f"{violation.code}|{violation.path}|{violation.message}|{index}"
-        fingerprints.append(hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16])
-    return fingerprints
-
-
-def load_baseline(path: Path) -> Dict[str, Dict[str, object]]:
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"not a {BASELINE_SCHEMA} file: {path} "
-            f"(schema={payload.get('schema')!r})"
-        )
-    entries = payload.get("entries", {})
-    return entries if isinstance(entries, dict) else {}
-
-
-def apply_baseline(
-    violations: Sequence[Violation], entries: Dict[str, Dict[str, object]]
-) -> Tuple[List[Violation], int]:
-    """Drop baselined violations; returns (kept, suppressed count)."""
-    kept: List[Violation] = []
-    suppressed = 0
-    for violation, fingerprint in zip(
-        violations, violation_fingerprints(violations)
-    ):
-        if fingerprint in entries:
-            suppressed += 1
-        else:
-            kept.append(violation)
-    return kept, suppressed
-
-
-def write_baseline(
-    violations: Sequence[Violation],
-    path: Path,
-    justification: str = "accepted pre-existing finding; see PR discussion",
-) -> int:
-    entries = {
-        fingerprint: {
-            "code": violation.code,
-            "path": violation.path,
-            "line": violation.line,
-            "message": violation.message,
-            "justification": justification,
-        }
-        for violation, fingerprint in zip(
-            violations, violation_fingerprints(violations)
-        )
-    }
-    payload = {"schema": BASELINE_SCHEMA, "entries": entries}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +214,7 @@ def run_deep(
     use_cache: bool = True,
     cache_path: Optional[Path] = None,
 ) -> Tuple[List[Violation], Dict[str, object]]:
-    """Run the RPL008-RPL010 deep pass over already-parsed files.
+    """Run the RPL008-RPL009 deep pass over already-parsed files.
 
     ``parsed`` holds ``(relpath, source, tree, path)`` tuples.  Returns
     the violations plus a stats mapping (files, call-graph edges, taint
@@ -574,10 +268,6 @@ def run_deep(
             findings.extend(analysis.run())
             taint_steps += analysis.steps
             fixpoint_passes = max(fixpoint_passes, analysis.passes)
-        worker_count = 0
-        if config.rule_enabled("RPL010"):
-            race_findings, worker_count = shared_state_findings(graph)
-            findings.extend(race_findings)
 
         violations = [
             Violation(f.relpath, f.line, f.col, f.code, f.message)
@@ -590,7 +280,6 @@ def run_deep(
             "call_graph_edges": graph.edge_count,
             "taint_steps": taint_steps,
             "fixpoint_passes": fixpoint_passes,
-            "dispatch_reachable": worker_count,
             "registry_sinks": len(sinks),
             "cache_hit": False,
             "cache_hit_rate": round(hit_rate, 4),

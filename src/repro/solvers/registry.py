@@ -34,14 +34,10 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
-
-try:  # pragma: no cover - import guard exercised at import time
-    from typing import Protocol
-except ImportError:  # pragma: no cover - Python < 3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
 
 from ..core.instance import Number, PagingInstance
 from ..core.strategy import Strategy

@@ -1,6 +1,7 @@
 """Engine-level tests: discovery, config, suppressions, output, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 from repro.cli import main as cli_main
@@ -183,12 +184,16 @@ class TestCliAndOutput:
         assert "2 violations" in out
 
     def test_list_rules(self, capsys):
+        """`--list-rules` and docs/linting.md's `### RPLnnn` headings name
+        the same rules: neither can gain or lose one without the other."""
         assert lint_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in (
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007",
-        ):
-            assert code in out
+        listed = set(re.findall(r"^(RPL\d{3})\s", out, re.M))
+        doc = (REPO_ROOT / "docs" / "linting.md").read_text()
+        documented = set(re.findall(r"^### (RPL\d{3})\b", doc, re.M))
+        assert listed - documented == set(), "listed but not documented"
+        assert documented - listed == set(), "documented but not listed"
+        assert {f"RPL00{n}" for n in range(1, 8)} <= listed
 
     def test_repro_cli_subcommand(self, capsys):
         code = cli_main(
