@@ -402,10 +402,12 @@ class CellularSimulator:
         if config.reporting == "distance":
             assert record.reported_cell is not None
             radius = config.distance_threshold
-            # DistanceReport fires at hop_distance >= threshold, so between
-            # delivered reports the device is provably strictly inside the
-            # ring; paging the boundary ring would be wasted bandwidth.  The
-            # fallback sweep stays as the safety net under update loss.
+            # The ring is centred on the registry's reported cell: the last
+            # delivered report or the last confirmation (a device found by
+            # paging), whichever came later.  DistanceReport measures from
+            # the last report only (`_last_reported`), so after a
+            # confirmation, or under update loss, the device can stand on
+            # or outside the ring; the fallback sweep then finds it.
             ring = self._topology.hop_distances[record.reported_cell] < radius
             return tuple(np.flatnonzero(ring).tolist())
         # never / timer: no usable bound — the whole network is a candidate.

@@ -23,13 +23,13 @@ feeds it back into the paper's machinery:
   array by the ``heuristic`` solver's ``run_batch`` entry.
 * :func:`hmy_fixed_point` — the Hajek–Mitzel–Yang iteration (PAPERS.md:
   *Paging and Registration in Cellular Networks: Jointly Optimal Policies
-  and an Iterative Algorithm*): alternate the paging best response (re-plan
-  from the current conditionals) with the registration best response
-  (re-pick the threshold against re-planned paging) until the combined
-  wireless cost stops improving.  Each step minimizes over a finite
-  candidate set with a deterministic evaluation, so the recorded
-  trajectory is monotone non-increasing and the loop reaches a fixed
-  point in finitely many rounds.
+  and an Iterative Algorithm*): pick the registration threshold whose
+  re-planned paging gives the lowest combined wireless cost.  A
+  threshold's paging is planned from its own conditional priors
+  (:func:`evaluate_registration` has no incumbent input), so the first
+  sweep over the candidates already lands on the fixed point, and a
+  second sweep, run only when that argmin is not the first candidate,
+  re-evaluates every other threshold to confirm it.
 
 The simulator consumes the same machinery through
 ``SimulationConfig(prior_mode="conditional")``: each device's prior is
@@ -512,11 +512,11 @@ def evaluate_registration(
 
 @dataclass(frozen=True)
 class HMYStep:
-    """One alternation of the joint paging/registration iteration."""
+    """One recorded step of the joint paging/registration loop."""
 
     iteration: int
-    #: "paging" re-planned strategies for the incumbent threshold;
-    #: "registration" re-picked the threshold against re-planned paging
+    #: "paging" evaluated the first candidate under re-planned paging;
+    #: "registration" is the cheapest threshold of one sweep
     phase: str
     evaluation: PolicyEvaluation
 
@@ -550,17 +550,21 @@ def hmy_fixed_point(
     max_age: int = 512,
     tol: float = 1e-9,
 ) -> HMYResult:
-    """Alternate paging and registration best responses to a fixed point.
+    """The registration threshold with the lowest re-planned combined cost.
 
-    Starting from the first candidate threshold, each iteration first
-    re-plans paging for the incumbent threshold's conditional priors (the
-    paging best response — recorded as a ``"paging"`` step), then sweeps
-    ``candidates`` for the threshold whose *re-planned* cost is lowest
-    (the registration best response — a ``"registration"`` step).  The
-    incumbent is always in the sweep and every evaluation is
-    deterministic, so the combined cost never increases; the loop stops
-    when the argmin stops moving (a fixed point of the alternation) or
-    after ``max_iterations``.
+    Iteration 0 evaluates the first candidate threshold with its paging
+    re-planned for its own conditional priors (a ``"paging"`` step).  Each
+    later iteration sweeps ``candidates`` and records the threshold whose
+    re-planned cost is lowest (a ``"registration"`` step, ties to the
+    earlier candidate); the loop stops when that argmin is the incumbent
+    or after ``max_iterations``.
+
+    :func:`evaluate_registration` takes no incumbent input, so a sweep's
+    costs do not depend on the incumbent: the result is the argmin of the
+    first sweep.  When that argmin is not the first candidate, a second
+    sweep re-evaluates every other threshold, finds the same argmin and
+    stops.  The trajectory thus has two or three steps and is monotone
+    non-increasing.
     """
     thresholds = tuple(int(t) for t in candidates)
     if not thresholds:

@@ -2,10 +2,10 @@
 
 The commands cover the library's workflows:
 
-* ``repro plan`` — read a probability matrix from JSON and print a paging
-  strategy (heuristic, exact, or adaptive value).
-* ``repro solve`` — run any solver from the ``repro.solvers`` registry on a
-  JSON instance by name (``--solver NAME``, see ``repro solvers``).
+* ``repro solve`` — read a probability matrix from JSON (a path, or ``-``
+  for stdin) and run any solver from the ``repro.solvers`` registry on it
+  by name (``--solver NAME``, default the Fig. 1 heuristic; see
+  ``repro solvers``).
 * ``repro solvers`` — list the solver registry: name, kind, capability
   flags, approximation factor, and paper anchor per entry.
 * ``repro simulate`` — run the cellular-network simulation and print the
@@ -16,9 +16,6 @@ The commands cover the library's workflows:
   sizes and report whether the optimum hits the lower bound.
 * ``repro lint`` — domain-aware static analysis (exact-arithmetic,
   reproducibility, and paper-traceability rules; see docs/linting.md).
-* ``repro serve-bench`` — drive a synthetic closed-loop workload through
-  the ``repro.service`` paging controller and report throughput, cache
-  hit rates, and batching behavior (see docs/service.md).
 * ``repro trace`` — summarize a ``trace.jsonl`` produced by the global
   ``--trace PATH`` flag (see docs/observability.md).
 
@@ -26,7 +23,7 @@ The commands cover the library's workflows:
 spans, counters, and paging histograms land in ``PATH`` for ``repro trace``
 to read.
 
-JSON input format for ``plan``::
+JSON input format for ``solve``::
 
     {"probabilities": [[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]], "max_rounds": 2}
 """
@@ -45,7 +42,6 @@ import numpy as np
 #: One line per subcommand — rendered in the ``--help`` epilog and asserted
 #: against the README command table by ``tests/test_cli.py``.
 COMMAND_SUMMARY: "dict[str, str]" = {
-    "plan": "plan a paging strategy from a JSON instance",
     "solve": "run any registered solver on a JSON instance by name",
     "solvers": "list the solver registry (kind, capabilities, factor)",
     "simulate": "run the cellular-network simulation (optionally with faults)",
@@ -53,7 +49,6 @@ COMMAND_SUMMARY: "dict[str, str]" = {
     "gadget": "run the Lemma 3.2 NP-hardness reduction",
     "render": "ASCII map of a network's areas or a plan",
     "lint": "domain-aware static analysis (RPL001-RPL009, --deep dataflow)",
-    "serve-bench": "closed-loop throughput benchmark of the paging service",
     "timevary": "run the joint paging/registration (HMY) iteration",
     "contention": "sweep blocking vs offered load on shared paging channels",
     "trace": "summarize a trace.jsonl written by --trace",
@@ -83,22 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(read it back with `repro trace PATH`)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    plan = commands.add_parser("plan", help="plan a paging strategy from JSON")
-    plan.add_argument("input", help="path to a JSON instance file, or '-' for stdin")
-    plan.add_argument(
-        "--solver",
-        choices=("heuristic", "exact", "adaptive"),
-        default="heuristic",
-        help="heuristic (Fig. 1), exact (subset DP), or adaptive value",
-    )
-    plan.add_argument("--rounds", type=int, default=None, help="override the delay d")
-    plan.add_argument(
-        "--bandwidth", type=int, default=None, help="max cells paged per round"
-    )
-    plan.add_argument(
-        "--output", default=None, help="write the planned strategy to a JSON file"
-    )
 
     solve = commands.add_parser(
         "solve", help="run any registered solver on a JSON instance"
@@ -258,68 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
 
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="drive a closed-loop workload through the repro.service controller",
-    )
-    serve_bench.add_argument(
-        "--requests", type=int, default=20000, help="stream length"
-    )
-    serve_bench.add_argument(
-        "--areas", type=int, default=64, help="distinct location areas"
-    )
-    serve_bench.add_argument(
-        "--devices", type=int, default=3, help="devices per call (matrix rows)"
-    )
-    serve_bench.add_argument(
-        "--cells", type=int, default=40, help="cells per area (matrix columns)"
-    )
-    serve_bench.add_argument(
-        "--rounds", type=int, default=3, help="delay budget d"
-    )
-    serve_bench.add_argument(
-        "--profiles-per-area",
-        type=int,
-        default=8,
-        help="recurring profiles per area (the hot pool)",
-    )
-    serve_bench.add_argument(
-        "--hot-fraction",
-        type=float,
-        default=0.97,
-        help="probability a request re-asks a pooled profile",
-    )
-    serve_bench.add_argument(
-        "--seed", type=int, default=20060, help="workload stream seed"
-    )
-    serve_bench.add_argument(
-        "--shards", type=int, default=4, help="controller shard count"
-    )
-    serve_bench.add_argument(
-        "--cache-size", type=int, default=8192, help="LRU capacity per shard"
-    )
-    serve_bench.add_argument(
-        "--quantization-step",
-        type=float,
-        default=0.0,
-        help="cache-key probability bucket width (0 = bit-exact keys)",
-    )
-    serve_bench.add_argument(
-        "--solver",
-        default="heuristic",
-        metavar="NAME",
-        help="registry solver answering the requests",
-    )
-    serve_bench.add_argument(
-        "--window", type=int, default=64, help="batch accumulation window size"
-    )
-    serve_bench.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
     timevary = commands.add_parser(
         "timevary",
-        help="alternate registration and re-planned paging to a fixed point",
+        help="pick the registration threshold against re-planned paging (HMY)",
     )
     timevary.add_argument("--radius", type=int, default=3, help="hex disk radius")
     timevary.add_argument(
@@ -427,43 +347,6 @@ def _load_instance(path: str):
     matrix = np.asarray(payload["probabilities"], dtype=float)
     max_rounds = int(payload.get("max_rounds", min(2, matrix.shape[1])))
     return PagingInstance.from_array(matrix, max_rounds, allow_zero=True)
-
-
-def _command_plan(args: argparse.Namespace) -> int:
-    from .core.serialization import save
-    from .solvers import get_solver
-
-    instance = _load_instance(args.input)
-    if args.rounds is not None:
-        instance = instance.with_max_rounds(args.rounds)
-    print(
-        f"instance: m={instance.num_devices} devices, c={instance.num_cells} "
-        f"cells, d={instance.max_rounds} rounds"
-    )
-    if args.solver == "adaptive":
-        result = get_solver("adaptive")(instance)
-        print(
-            f"adaptive replanning expected paging: "
-            f"{result.expected_paging_float:.4f} cells"
-        )
-        return 0
-    if args.solver == "exact":
-        result = get_solver("exact")(instance, max_group_size=args.bandwidth)
-        label = "exact optimal"
-    else:
-        result = get_solver("heuristic")(instance, max_group_size=args.bandwidth)
-        label = "e/(e-1) heuristic"
-    strategy = result.strategy
-    for round_index, group in enumerate(strategy.groups, start=1):
-        print(f"  round {round_index}: page cells {sorted(group)}")
-    print(
-        f"{label} expected paging: {result.expected_paging_float:.4f} "
-        f"of {instance.num_cells} cells"
-    )
-    if args.output:
-        save(strategy, args.output)
-        print(f"strategy written to {args.output}")
-    return 0
 
 
 def _command_solve(args: argparse.Namespace) -> int:
@@ -712,55 +595,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _command_serve_bench(args: argparse.Namespace) -> int:
-    from .service import ServiceConfig, WorkloadConfig, serve_bench
-
-    try:
-        workload = WorkloadConfig(
-            requests=args.requests,
-            areas=args.areas,
-            devices=args.devices,
-            cells=args.cells,
-            rounds=args.rounds,
-            profiles_per_area=args.profiles_per_area,
-            hot_fraction=args.hot_fraction,
-            seed=args.seed,
-        )
-        config = ServiceConfig(
-            num_shards=args.shards,
-            cache_size=args.cache_size,
-            quantization_step=args.quantization_step,
-            solver=args.solver,
-            batch_window=args.window,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    report = serve_bench(config, workload)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    print(
-        f"workload: {args.requests} requests over {args.areas} areas "
-        f"(m={args.devices}, c={args.cells}, d={args.rounds}, "
-        f"hot={args.hot_fraction:g})"
-    )
-    print(
-        f"service: solver={args.solver}, shards={args.shards}, "
-        f"cache={args.cache_size}/shard, step={args.quantization_step:g}, "
-        f"window={args.window}"
-    )
-    for regime in ("cold", "warm"):
-        pass_report = report[regime]
-        print(
-            f"{regime:>5}: {pass_report['throughput_rps']:>10.0f} req/s  "
-            f"hit-rate {pass_report['hit_rate']:.1%}  "
-            f"batches {pass_report['batches']}  "
-            f"mean batch {pass_report['mean_batch_size']:.1f}  "
-            f"shed {pass_report['sheds']}"
-        )
-    return 0
-
-
 def _command_timevary(args: argparse.Namespace) -> int:
     from .cellnet import (
         CellTopology,
@@ -865,7 +699,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (also installed as the ``repro`` console script)."""
     args = _build_parser().parse_args(argv)
     handlers = {
-        "plan": _command_plan,
         "solve": _command_solve,
         "solvers": _command_solvers,
         "simulate": _command_simulate,
@@ -873,7 +706,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "gadget": _command_gadget,
         "render": _command_render,
         "lint": _command_lint,
-        "serve-bench": _command_serve_bench,
         "timevary": _command_timevary,
         "contention": _command_contention,
         "trace": _command_trace,

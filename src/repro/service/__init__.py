@@ -24,13 +24,8 @@ from .controller import (
     ServiceConfig,
     request_instance,
 )
-from .sharding import ShardMap, shard_assignments, shard_for_area, shard_loads
-from .workload import (
-    WorkloadConfig,
-    build_requests,
-    run_closed_loop,
-    serve_bench,
-)
+from .sharding import ShardMap, shard_for_area
+from .workload import WorkloadConfig, build_requests, run_closed_loop
 
 __all__ = [
     "CacheKey",
@@ -49,8 +44,5 @@ __all__ = [
     "quantize_profile",
     "request_instance",
     "run_closed_loop",
-    "serve_bench",
-    "shard_assignments",
     "shard_for_area",
-    "shard_loads",
 ]

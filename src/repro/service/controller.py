@@ -20,10 +20,10 @@ distributions.  One :class:`PagingController` owns
 The controller is deliberately single-threaded and synchronous: one
 ``submit`` per request, explicit ``poll``/``flush`` for time-driven
 behaviour (tests inject a fake clock), and throughput comes from the
-cache and the batched kernels, not concurrency — ``repro serve-bench``
-measures >=10k requests/sec on one core this way.  Scaling across cores
-is by running one controller per process and routing areas by the same
-shard map, which is why the map must be process-independent.
+cache and the batched kernels, not concurrency.  ``python3 bench/run.py
+--workload service`` times this path end to end on one core.  The shard
+map is a pure function of the area id, so a replayed request stream lands
+on the same shards, caches and batches in every process.
 
 Observability (all under :mod:`repro.obs`, inert without a tracer):
 ``service.requests`` / ``service.cache_hit`` / ``service.shed``

@@ -4,7 +4,7 @@ A long-running controller serves many location areas concurrently; the
 shard map decides which per-shard cache and batch queue owns each area.
 The assignment must be a *pure function of the area id* — never of
 arrival order, process start time, or ``PYTHONHASHSEED`` — so that a
-restarted controller, a replica, or a test reproduces the same layout.
+restarted controller or a test reproduces the same layout.
 Python's built-in ``hash`` on strings is salted per process and is
 therefore exactly the wrong tool; we hash the area id's canonical string
 form with BLAKE2b instead.
@@ -13,7 +13,7 @@ form with BLAKE2b instead.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 #: Digest width for the area hash; 8 bytes is far beyond any shard count.
 _DIGEST_SIZE = 8
@@ -35,21 +35,6 @@ def shard_for_area(area: object, num_shards: int) -> int:
         canonical = repr(area)
     digest = blake2b(canonical.encode("utf-8"), digest_size=_DIGEST_SIZE).digest()
     return int.from_bytes(digest, "big") % int(num_shards)
-
-
-def shard_assignments(
-    areas: Iterable[object], num_shards: int
-) -> Dict[object, int]:
-    """The full area -> shard map for a known area population."""
-    return {area: shard_for_area(area, num_shards) for area in areas}
-
-
-def shard_loads(areas: Iterable[object], num_shards: int) -> List[int]:
-    """How many of ``areas`` land on each shard (balance diagnostics)."""
-    loads = [0] * int(num_shards)
-    for area in areas:
-        loads[shard_for_area(area, num_shards)] += 1
-    return loads
 
 
 class ShardMap:
@@ -76,6 +61,3 @@ class ShardMap:
             memo[area] = shard
         return shard
 
-    def known_areas(self) -> Tuple[object, ...]:
-        """Areas resolved so far, in first-seen order."""
-        return tuple(self._memo)

@@ -22,12 +22,12 @@ mixture.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .controller import PagingController, PlanRequest, ServiceConfig
+from .controller import PagingController, PlanRequest
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,3 @@ def run_closed_loop(
         "mean_batch_size": planned / batches if batches else 0.0,
     }
 
-
-def serve_bench(
-    service_config: Optional[ServiceConfig] = None,
-    workload_config: Optional[WorkloadConfig] = None,
-) -> Dict[str, object]:
-    """The ``repro serve-bench`` payload: cold pass, then warm pass.
-
-    The *cold* pass streams the workload through a fresh controller —
-    its hit rate is what profile recurrence alone buys.  The *warm* pass
-    replays the same stream against the now-populated caches — the
-    steady-state regime the >=10k req/s target speaks about.
-    """
-    workload = WorkloadConfig() if workload_config is None else workload_config
-    config = ServiceConfig() if service_config is None else service_config
-    requests = build_requests(workload)
-    controller = PagingController(config)
-    cold = run_closed_loop(controller, requests)
-    warm = run_closed_loop(controller, requests)
-    return {
-        "schema": "repro-serve-bench/1",
-        "workload": asdict(workload),
-        "service": asdict(config),
-        "cold": cold,
-        "warm": warm,
-        "stats": controller.stats(),
-    }

@@ -1,8 +1,10 @@
 """Shard-map determinism tests (``repro.service.sharding``)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.service import ShardMap, shard_assignments, shard_for_area, shard_loads
+from repro.service import ShardMap, shard_for_area
 
 
 class TestShardForArea:
@@ -31,16 +33,10 @@ class TestShardForArea:
 
     def test_loads_are_roughly_balanced(self):
         areas = [f"area-{index}" for index in range(4000)]
-        loads = shard_loads(areas, 4)
-        assert sum(loads) == len(areas)
-        for load in loads:
+        loads = Counter(shard_for_area(area, 4) for area in areas)
+        assert sorted(loads) == [0, 1, 2, 3]
+        for load in loads.values():
             assert 800 < load < 1200
-
-    def test_assignments_match_pointwise(self):
-        areas = ["x", "y", 3]
-        mapping = shard_assignments(areas, 5)
-        for area in areas:
-            assert mapping[area] == shard_for_area(area, 5)
 
 
 class TestShardMap:
@@ -48,7 +44,10 @@ class TestShardMap:
         shard_map = ShardMap(4)
         for area in ("a", "b", "a", 17):
             assert shard_map(area) == shard_for_area(area, 4)
-        assert shard_map.known_areas() == ("a", "b", 17)
+        # one memo entry per distinct area, in first-seen order
+        assert list(shard_map._memo.items()) == [
+            (area, shard_for_area(area, 4)) for area in ("a", "b", 17)
+        ]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):

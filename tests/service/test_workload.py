@@ -1,4 +1,4 @@
-"""Workload-generator and serve-bench tests (``repro.service.workload``)."""
+"""Workload-generator and closed-loop driver tests (``repro.service.workload``)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.service import (
     WorkloadConfig,
     build_requests,
     run_closed_loop,
-    serve_bench,
 )
 
 
@@ -87,14 +86,3 @@ class TestRunClosedLoop:
         run_closed_loop(controller, build_requests(SMALL))
         assert controller.pending == 0
 
-
-class TestServeBench:
-    def test_report_shape(self):
-        report = serve_bench(ServiceConfig(), SMALL)
-        assert report["schema"] == "repro-serve-bench/1"
-        assert report["workload"]["requests"] == SMALL.requests
-        assert report["service"]["solver"] == "heuristic"
-        for regime in ("cold", "warm"):
-            assert report[regime]["throughput_rps"] > 0.0
-        assert report["warm"]["hit_rate"] == pytest.approx(1.0)
-        assert report["stats"]["requests"] == 2 * SMALL.requests

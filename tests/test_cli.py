@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import io
 import json
 import re
 from pathlib import Path
@@ -21,36 +22,47 @@ def instance_file(tmp_path):
     return str(path)
 
 
-class TestPlan:
+class TestSolve:
     def test_heuristic_plan(self, instance_file, capsys):
-        assert main(["plan", instance_file]) == 0
+        assert main(["solve", instance_file]) == 0
         out = capsys.readouterr().out
-        assert "round 1: page cells" in out
-        assert "e/(e-1) heuristic expected paging" in out
+        assert "solver: heuristic (heuristic)" in out
+        assert "round 1: page cells [0, 1, 3]" in out
+        assert "expected paging: 3.3700" in out
 
     def test_exact_plan(self, instance_file, capsys):
-        assert main(["plan", instance_file, "--solver", "exact"]) == 0
-        assert "exact optimal" in capsys.readouterr().out
+        assert main(["solve", instance_file, "--solver", "exact"]) == 0
+        out = capsys.readouterr().out
+        assert "solver: exact (exact)" in out
+        assert "round 1: page cells" in out
 
     def test_adaptive_value(self, instance_file, capsys):
-        assert main(["plan", instance_file, "--solver", "adaptive"]) == 0
-        assert "adaptive replanning" in capsys.readouterr().out
+        assert main(["solve", instance_file, "--solver", "adaptive"]) == 0
+        out = capsys.readouterr().out
+        assert "solver: adaptive (variant)" in out
+        assert "page cells" not in out  # a value, not a strategy
+        assert "expected paging:" in out
+
+    def test_adaptive_refuses_bandwidth_cap(self, instance_file):
+        with pytest.raises(SystemExit, match="max_group_size"):
+            main(["solve", instance_file, "--solver", "adaptive", "--bandwidth", "2"])
 
     def test_round_override(self, instance_file, capsys):
-        assert main(["plan", instance_file, "--rounds", "3"]) == 0
-        assert "d=3" in capsys.readouterr().out
+        assert main(["solve", instance_file, "--rounds", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "d=3" in out
+        assert "round 3: page cells" in out
 
     def test_bandwidth_cap(self, instance_file, capsys):
-        assert main(["plan", instance_file, "--rounds", "2", "--bandwidth", "2"]) == 0
+        assert main(["solve", instance_file, "--rounds", "2", "--bandwidth", "2"]) == 0
         out = capsys.readouterr().out
-        for line in out.splitlines():
-            if "page cells" in line:
-                cells = line.split("page cells")[1]
-                assert cells.count(",") <= 1  # at most two cells per round
+        assert "round 1: page cells [0, 1]" in out
+        assert "round 2: page cells [2, 3]" in out
 
     def test_output_writes_strategy(self, instance_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"
-        assert main(["plan", instance_file, "--output", str(out_path)]) == 0
+        assert main(["solve", instance_file, "--output", str(out_path)]) == 0
+        assert f"strategy written to {out_path}" in capsys.readouterr().out
         from repro.core import Strategy
         from repro.core.serialization import load
 
@@ -62,7 +74,21 @@ class TestPlan:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         with pytest.raises(SystemExit, match="probabilities"):
-            main(["plan", str(path)])
+            main(["solve", str(path)])
+
+    def test_reads_stdin(self, instance_file, monkeypatch, capsys):
+        with open(instance_file) as handle:
+            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        assert main(["solve", "-"]) == 0
+        assert "instance: m=2 devices, c=4 cells, d=2 rounds" in capsys.readouterr().out
+
+    def test_json_output(self, instance_file, capsys):
+        assert main(["solve", instance_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "repro-solve/1"
+        assert payload["solver"] == "heuristic"
+        assert payload["groups"] == [[0, 1, 3], [2]]
+        assert payload["expected_paging"] == pytest.approx(3.37)
 
 
 class TestGadget:
@@ -182,32 +208,6 @@ class TestTrace:
         assert "cannot read" in capsys.readouterr().err
 
 
-class TestServeBench:
-    _SMALL = [
-        "serve-bench", "--requests", "400", "--areas", "6", "--cells", "10",
-        "--profiles-per-area", "3", "--hot-fraction", "0.9", "--seed", "11",
-    ]
-
-    def test_text_report(self, capsys):
-        assert main(self._SMALL) == 0
-        out = capsys.readouterr().out
-        assert "400 requests over 6 areas" in out
-        assert "cold:" in out
-        assert "warm:" in out
-        assert "hit-rate" in out
-
-    def test_json_report(self, capsys):
-        assert main(self._SMALL + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro-serve-bench/1"
-        assert payload["warm"]["hit_rate"] == 1.0
-        assert payload["cold"]["throughput_rps"] > 0
-
-    def test_invalid_workload_fails_cleanly(self):
-        with pytest.raises(SystemExit, match="hot_fraction"):
-            main(["serve-bench", "--hot-fraction", "2.0"])
-
-
 class TestTimevary:
     def test_fixed_point_line(self, capsys):
         assert main(["timevary", "--radius", "2"]) == 0
@@ -253,6 +253,35 @@ class TestCommandSurface:
             assert f"repro {name}" in help_text
             assert summary in help_text
         assert "--trace PATH" in help_text
+
+    @pytest.mark.parametrize("argv", [["plan", "x.json"], ["serve-bench"]])
+    def test_retired_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+    _FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+    _COMMAND = r"repro(?: --trace \S+)? ([a-z][\w-]*)"
+
+    def _documented_commands(self, text):
+        """``repro <name>`` uses: bash lines, then inline code spans."""
+        names = []
+        for language, body in self._FENCE.findall(text):
+            if language == "bash":
+                names += re.findall(rf"^\s*{self._COMMAND}", body, re.MULTILINE)
+        names += re.findall(rf"`{self._COMMAND}[^`\n]*`", text)
+        return names
+
+    def test_docs_name_only_registered_commands(self):
+        root = Path(__file__).resolve().parent.parent
+        pages = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        unknown = {}
+        for page in pages:
+            for name in self._documented_commands(page.read_text()):
+                if name not in COMMAND_SUMMARY:
+                    unknown.setdefault(page.name, []).append(name)
+        assert unknown == {}
 
 
 class TestSimulate:
