@@ -5,7 +5,7 @@ PYTHON ?= python
 # Every target imports the package from src/, installed or not.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help install test docs-test lint lint-deep faults-smoke solvers-smoke report save-report examples all clean
+.PHONY: help install test docs-test lint faults-smoke solvers-smoke report save-report examples all clean
 
 # The default goal: lists the targets and installs nothing, so a bare
 # `make` is safe offline.
@@ -13,8 +13,7 @@ help:
 	@echo "make install        editable install of the package and its deps"
 	@echo "make test           pytest tests/"
 	@echo "make docs-test      run every python block in README.md and docs/"
-	@echo "make lint           repro lint src tests scripts (RPL001-RPL007)"
-	@echo "make lint-deep      lint plus the deep pass (RPL008-RPL009)"
+	@echo "make lint           repro lint src tests scripts (RPL001, RPL002, RPL004-RPL009)"
 	@echo "make faults-smoke   tiny fault-matrix scenario"
 	@echo "make solvers-smoke  solver registry contract checks"
 	@echo "make report         regenerate every experiment table"
@@ -35,13 +34,10 @@ docs-test:
 	$(PYTHON) -m pytest tests/test_docs.py tests/test_readme.py -q
 	$(PYTHON) -m repro.lint src
 
+# The per-file rules and the whole-program dataflow pass (RPL008
+# exactness taint, RPL009 seed flow) in one run.
 lint:
 	$(PYTHON) -m repro.lint src tests scripts
-
-# Adds the whole-program dataflow pass (RPL008 exactness taint, RPL009
-# seed flow) on top of the per-file rules.
-lint-deep:
-	$(PYTHON) -m repro.lint --deep src tests scripts
 
 # Tiny fault-matrix scenario: zero-fault bypass, reproducibility under
 # faults, and the delay-budget cap (docs/robustness.md); CI runs this.

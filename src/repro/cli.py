@@ -48,7 +48,7 @@ COMMAND_SUMMARY: "dict[str, str]" = {
     "experiments": "regenerate experiment tables (all or by id; --list)",
     "gadget": "run the Lemma 3.2 NP-hardness reduction",
     "render": "ASCII map of a network's areas or a plan",
-    "lint": "domain-aware static analysis (RPL001-RPL009, --deep dataflow)",
+    "lint": "domain-aware static analysis (RPL001, RPL002, RPL004-RPL009)",
     "timevary": "run the joint paging/registration (HMY) iteration",
     "contention": "sweep blocking vs offered load on shared paging channels",
     "trace": "summarize a trace.jsonl written by --trace",
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from .lint.engine import add_lint_arguments
 
     lint = commands.add_parser(
-        "lint", help="run the domain-aware static-analysis rules (RPL001-RPL009)"
+        "lint", help="run the static-analysis rules (RPL001, RPL002, RPL004-RPL009)"
     )
     add_lint_arguments(lint)
 

@@ -164,8 +164,9 @@ def lint_attestation(
     """Run ``repro lint`` over ``targets`` and summarize the outcome.
 
     The reproduction report embeds this so a rendered report also records
-    that the tree satisfied the exactness/reproducibility/traceability
-    rules (RPL001–RPL007) at generation time.  When run from an installed
+    that the tree satisfied every lint rule at generation time: the
+    per-file and project rules (RPL001, RPL002, RPL004–RPL007) and the
+    whole-program exactness and seed-flow rules (RPL008–RPL009).  When run from an installed
     package with no source checkout, ``targets`` is empty and ``clean`` is
     ``None`` — the attestation is "not applicable", not "passed".
     """

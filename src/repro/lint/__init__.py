@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .callgraph import DefUse, ProjectGraph, def_use_chains
 from .engine import (
+    ALL_CODES,
     DEFAULT_TARGETS,
     EXIT_CLEAN,
     EXIT_USAGE,
@@ -29,7 +30,7 @@ from .engine import (
     run_lint,
 )
 from .flow import DEEP_CODES, FLOW_RULES, run_deep
-from .rules import ALL_CODES, LintConfig, RULES, Rule, Violation
+from .rules import LintConfig, RULES, Rule, Violation
 
 __all__ = [
     "ALL_CODES",

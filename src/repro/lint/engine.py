@@ -26,18 +26,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .flow import DEEP_CODES, FLOW_RULES, run_deep, sarif_payload
-from .rules import (
-    ALL_CODES,
-    LintConfig,
-    ModuleContext,
-    ProjectRule,
-    RULES,
-    Violation,
-)
+from .flow import FLOW_RULES, run_deep, sarif_payload
+from .rules import LintConfig, ModuleContext, ProjectRule, RULES, Violation
 
 #: What a bare ``repro lint`` (and the report's ``lint.json``) checks.
 DEFAULT_TARGETS = ("src", "tests", "scripts")
+
+#: ``(code, name, rationale)`` of every rule a lint run applies, in code
+#: order: what ``--list-rules`` prints.
+_CATALOGUE: Tuple[Tuple[str, str, str], ...] = tuple(
+    (rule.code, rule.name, rule.rationale) for rule in (*RULES, *FLOW_RULES)
+)
+#: Reported for a file that does not parse; it is not a rule one selects.
+_SYNTAX_ERROR = ("RPL000", "syntax-error", "file does not parse")
+
+#: Every code ``--select`` / ``--ignore`` accept.
+ALL_CODES: Tuple[str, ...] = tuple(
+    code for code, _, _ in _CATALOGUE + (_SYNTAX_ERROR,)
+)
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -290,8 +296,8 @@ class LintResult:
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     targets: Tuple[str, ...] = ()
-    #: populated by ``--deep``: files/edges/taint-steps/cache stats
-    deep_stats: Optional[Dict[str, object]] = None
+    #: the RPL008-RPL009 pass's files/edges/taint-steps/cache stats
+    deep_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -308,23 +314,18 @@ class LintResult:
         return dict(sorted(tally.items()))
 
     def to_json(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "tool": "replint",
             "targets": list(self.targets),
             "files_checked": self.files_checked,
             "clean": self.clean,
             "counts": self.counts(),
             "violations": [violation.to_json() for violation in self.violations],
+            "deep": self.deep_stats,
         }
-        if self.deep_stats is not None:
-            payload["deep"] = self.deep_stats
-        return payload
 
     def to_sarif(self) -> Dict[str, object]:
-        rules = [(r.code, r.name, r.rationale) for r in RULES]
-        rules += [(r.code, r.name, r.rationale) for r in FLOW_RULES]
-        rules.append(("RPL000", "syntax-error", "file does not parse"))
-        return sarif_payload(self.violations, rules)
+        return sarif_payload(self.violations, _CATALOGUE + (_SYNTAX_ERROR,))
 
 
 def run_lint(
@@ -332,7 +333,6 @@ def run_lint(
     config: Optional[LintConfig] = None,
     root: Optional[Path] = None,
     *,
-    deep: bool = False,
     deep_cache: bool = True,
 ) -> LintResult:
     """Lint ``targets`` (files or directories) and return the result.
@@ -341,8 +341,10 @@ def run_lint(
     locations); it defaults to the nearest ancestor of the first target
     holding a pyproject.toml, falling back to the current directory.
 
-    ``deep=True`` additionally runs the whole-program RPL008-RPL009 pass
-    (:mod:`repro.lint.flow`).
+    The per-file and project rules run first, then the whole-program
+    RPL008-RPL009 pass (:mod:`repro.lint.flow`) over the same parsed
+    files; ``deep_cache=False`` neither reads nor writes that pass's
+    findings cache.
     """
     target_paths = [Path(target) for target in targets]
     for target in target_paths:
@@ -387,12 +389,10 @@ def run_lint(
         if isinstance(rule, ProjectRule) and config.rule_enabled(rule.code):
             result.violations.extend(rule.check_project(root, config))
 
-    if deep:
-        deep_violations, deep_stats = run_deep(
-            parsed, root, config, use_cache=deep_cache
-        )
-        result.violations.extend(deep_violations)
-        result.deep_stats = deep_stats
+    deep_violations, result.deep_stats = run_deep(
+        parsed, root, config, use_cache=deep_cache
+    )
+    result.violations.extend(deep_violations)
 
     kept: List[Violation] = []
     for violation in result.violations:
@@ -427,14 +427,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="output format (--json is shorthand for --format json)",
     )
     parser.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program RPL008-RPL009 dataflow pass",
-    )
-    parser.add_argument(
-        "--no-deep-cache", action="store_true",
-        help="ignore and do not write the deep-pass findings cache",
-    )
-    parser.add_argument(
         "--select", default=None,
         help="comma-separated rule codes to run (default: all)",
     )
@@ -456,13 +448,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed CLI arguments."""
     if args.list_rules:
-        for rule in RULES:
-            print(f"{rule.code}  {rule.name}: {rule.rationale}")
-        for flow_rule in FLOW_RULES:
-            print(
-                f"{flow_rule.code}  {flow_rule.name} (--deep): "
-                f"{flow_rule.rationale}"
-            )
+        for code, name, rationale in _CATALOGUE:
+            print(f"{code}  {name}: {rationale}")
         return EXIT_CLEAN
     root = Path(args.root).resolve() if args.root else None
     if args.no_config:
@@ -481,20 +468,14 @@ def run_from_args(args: argparse.Namespace) -> int:
     unknown = [
         code
         for code in (config.select or ()) + config.ignore
-        if code not in ALL_CODES + DEEP_CODES + ("RPL000",)
+        if code not in ALL_CODES
     ]
     if unknown:
         print(f"unknown rule code(s): {', '.join(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     output = args.format or ("json" if args.json else "text")
     try:
-        result = run_lint(
-            args.paths,
-            config=config,
-            root=root,
-            deep=args.deep,
-            deep_cache=not args.no_deep_cache,
-        )
+        result = run_lint(args.paths, config=config, root=root)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return EXIT_USAGE
@@ -506,18 +487,14 @@ def run_from_args(args: argparse.Namespace) -> int:
         for violation in result.violations:
             print(violation.render())
         noun = "violation" if len(result.violations) == 1 else "violations"
-        summary = (
+        stats = result.deep_stats
+        print(
             f"replint: {len(result.violations)} {noun} "
-            f"({result.files_checked} files checked"
+            f"({result.files_checked} files checked; "
+            f"{stats.get('call_graph_edges', 0)} call edges, "
+            f"{stats.get('taint_steps', 0)} taint steps, "
+            f"cache {'hit' if stats.get('cache_hit') else 'miss'})"
         )
-        if result.deep_stats is not None:
-            stats = result.deep_stats
-            summary += (
-                f"; deep: {stats.get('call_graph_edges', 0)} call edges, "
-                f"{stats.get('taint_steps', 0)} taint steps, "
-                f"cache {'hit' if stats.get('cache_hit') else 'miss'}"
-            )
-        print(summary + ")")
     return result.exit_code
 
 

@@ -1,7 +1,7 @@
 """The deep lint pass: RPL008-RPL009 over the whole-program model.
 
-``run_deep`` is the orchestration layer the engine calls for
-``repro lint --deep``:
+``run_deep`` is the orchestration layer every ``repro lint`` run calls
+after the per-file rules:
 
 1. build a :class:`~repro.lint.callgraph.ProjectGraph` from the already
    parsed files;
@@ -38,7 +38,7 @@ from .taint import (
 
 #: Bump when analysis semantics change — invalidates every cache.
 ANALYZER_VERSION = "2"
-CACHE_FILENAME = ".replint-deep-cache.json"
+CACHE_FILENAME = ".replint-cache.json"
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _write_cache(
     stats: Dict[str, object],
 ) -> None:
     payload = {
-        "schema": "replint-deep-cache/1",
+        "schema": "replint-cache/1",
         "analyzer_version": ANALYZER_VERSION,
         "config_key": config_key,
         "files": hashes,
@@ -212,19 +212,21 @@ def run_deep(
     config: LintConfig,
     *,
     use_cache: bool = True,
-    cache_path: Optional[Path] = None,
 ) -> Tuple[List[Violation], Dict[str, object]]:
     """Run the RPL008-RPL009 deep pass over already-parsed files.
 
     ``parsed`` holds ``(relpath, source, tree, path)`` tuples.  Returns
     the violations plus a stats mapping (files, call-graph edges, taint
-    steps, cache behavior) that also flows into ``repro.obs``.
+    steps, cache behavior) that also flows into ``repro.obs``.  With
+    both rules deselected it builds no graph and touches no cache.
     """
+    if not any(config.rule_enabled(code) for code in DEEP_CODES):
+        return [], {"files": len(parsed), "call_graph_edges": 0, "taint_steps": 0}
     with span("lint.deep", files=len(parsed), root=str(root)):
         sinks = registry_exact_sinks() if config.rule_enabled("RPL008") else frozenset()
         hashes = {relpath: _file_digest(source) for relpath, source, _, _ in parsed}
         key = _config_key(config, sinks)
-        cache_file = cache_path or (root / CACHE_FILENAME)
+        cache_file = root / CACHE_FILENAME
 
         cached = _read_cache(cache_file) if use_cache else None
         hit_rate = 0.0

@@ -9,9 +9,6 @@ Each rule guards an invariant the test suite can only sample:
   from an explicit seeded ``np.random.Generator`` (EXPERIMENTS.md
   reproducibility contract); module-level ``random.*`` / ``np.random.*``
   state is forbidden.
-* **RPL003** — float contamination of exact arithmetic:
-  ``Fraction(<float>)`` or float literals passed to functions marked
-  exact (name contains ``exact`` or docstring carries ``replint: exact``).
 * **RPL004** — public-API drift between ``repro.__init__.__all__`` and
   ``docs/api.md`` (both directions).
 * **RPL005** — paper traceability: modules under ``core/``, ``analysis/``
@@ -27,7 +24,9 @@ Each rule guards an invariant the test suite can only sample:
 
 Rules are deliberately single-file AST passes (plus project-level
 passes for RPL004 and RPL007) so the linter stays dependency-free and
-fast.
+fast.  The exactness invariant (no float reaches ``Fraction()`` or an
+exact-marked function) is guarded by the whole-program rule RPL008 in
+:mod:`repro.lint.flow`, which sees through helpers and variables.
 """
 
 from __future__ import annotations
@@ -312,65 +311,6 @@ class UnseededRandomnessRule(Rule):
                     f"module-level random.{tail}() uses hidden global state; "
                     "use a seeded np.random.Generator or random.Random(seed)",
                 )
-
-
-# ---------------------------------------------------------------------------
-# RPL003 — float contamination of exact arithmetic
-# ---------------------------------------------------------------------------
-
-_EXACT_DOC_MARK = re.compile(r"replint:\s*exact", re.IGNORECASE)
-
-
-class ExactnessRule(Rule):
-    code = "RPL003"
-    name = "exactness"
-    rationale = (
-        "Fraction(<float>) and float literals flowing into exact-marked "
-        "functions silently poison exact-arithmetic paths"
-    )
-
-    @staticmethod
-    def _exact_function_names(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                doc = ast.get_docstring(node) or ""
-                if "exact" in node.name.lower() or _EXACT_DOC_MARK.search(doc):
-                    names.add(node.name)
-        return names
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        exact_names = self._exact_function_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else ""
-            )
-            arguments = list(node.args) + [kw.value for kw in node.keywords]
-            if callee == "Fraction" and node.args:
-                first = node.args[0]
-                if (
-                    isinstance(first, ast.Constant) and isinstance(first.value, float)
-                ) or _is_float_call(first):
-                    yield Violation(
-                        ctx.relpath, node.lineno, node.col_offset + 1, self.code,
-                        "Fraction(<float>) captures binary rounding error; "
-                        "construct from a string or integer ratio",
-                    )
-                    continue
-            if callee in exact_names:
-                for arg in arguments:
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, float):
-                        yield Violation(
-                            ctx.relpath, node.lineno, node.col_offset + 1, self.code,
-                            f"float literal passed to exact-marked function "
-                            f"{callee!r}; pass a Fraction or integer",
-                        )
-                        break
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +651,8 @@ class SolverRegistrationRule(ProjectRule):
 RULES: Tuple[Rule, ...] = (
     FloatEqualityRule(),
     UnseededRandomnessRule(),
-    ExactnessRule(),
     ApiDriftRule(),
     PaperTraceabilityRule(),
     HygieneRule(),
     SolverRegistrationRule(),
 )
-
-ALL_CODES: Tuple[str, ...] = tuple(rule.code for rule in RULES)

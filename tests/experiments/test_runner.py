@@ -77,6 +77,26 @@ class TestRunner:
         assert payload["clean"] is True
         assert payload["violations"] == []
 
+    def test_lint_attestation_runs_the_dataflow_rules(self, tmp_path, monkeypatch):
+        """A float that reaches Fraction() through a helper is an RPL008
+        finding in the report's attestation."""
+        (tmp_path / "pyproject.toml").write_text("[project]\nname = 'scratch'\n")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "helper.py").write_text(
+            "from fractions import Fraction\n"
+            "\n"
+            "\n"
+            "def as_fraction(value):\n"
+            "    return Fraction(value)\n"
+            "\n"
+            "\n"
+            "half = as_fraction(0.5)\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        payload = lint_attestation(targets=("src",))
+        assert payload["clean"] is False
+        assert payload["counts"] == {"RPL008": 1}
+
     def test_lint_attestation_handles_missing_targets(self):
         payload = lint_attestation(targets=("no/such/dir",))
         assert payload["clean"] is None

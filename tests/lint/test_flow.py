@@ -49,7 +49,6 @@ def _deep_findings(target: Path, code: str):
         [str(target)],
         config=LintConfig(),
         root=REPO_ROOT,
-        deep=True,
         deep_cache=False,
     )
     return [v for v in result.violations if v.code == code]
@@ -78,6 +77,25 @@ class TestFixtureCorpus:
                 v.render() for v in findings
             )
 
+    @pytest.mark.parametrize(
+        "name,line,col,message",
+        [
+            ("taint_fraction_of_float.py", 5, 12, "flows into Fraction()"),
+            ("taint_fraction_of_float_cast.py", 5, 8, "flows into Fraction()"),
+            (
+                "taint_literal_into_exact_fn.py", 11, 9,
+                "passed to exact-marked function 'exact_lower_bound'",
+            ),
+        ],
+        ids=["fraction-of-float", "fraction-of-float-cast", "literal-into-exact-fn"],
+    )
+    def test_direct_float_is_reported_at_the_call(self, name, line, col, message):
+        """A float written straight into ``Fraction()`` or an exact-marked
+        call is one finding, anchored at that call."""
+        findings = _deep_findings(FLOW_FIXTURES / "rpl008" / name, "RPL008")
+        assert [(v.line, v.col) for v in findings] == [(line, col)]
+        assert message in findings[0].message
+
     def test_corpus_is_large_enough(self):
         """The acceptance floor: >=10 taint and >=10 clean cases per rule."""
         for rule_dir in ("rpl008", "rpl009"):
@@ -98,7 +116,6 @@ class TestDeepOnRepo:
         result = run_lint(
             [str(REPO_ROOT / "src")],
             root=REPO_ROOT,
-            deep=True,
             deep_cache=False,
         )
         deep = [v for v in result.violations if v.code in DEEP_CODES]
@@ -108,7 +125,6 @@ class TestDeepOnRepo:
         result = run_lint(
             [str(REPO_ROOT / "src" / "repro" / "lint")],
             root=REPO_ROOT,
-            deep=True,
             deep_cache=False,
         )
         stats = result.deep_stats
@@ -132,7 +148,7 @@ class TestEngineEdgeCases:
         path.write_text("")
         result = run_lint(
             [str(path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         assert result.files_checked == 1
         assert result.exit_code == EXIT_CLEAN
@@ -144,7 +160,7 @@ class TestEngineEdgeCases:
         good.write_text("from fractions import Fraction\nx = Fraction(0.25)\n")
         result = run_lint(
             [str(tmp_path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         codes = {v.code for v in result.violations}
         assert "RPL000" in codes
@@ -158,7 +174,7 @@ class TestEngineEdgeCases:
         path.write_bytes(b"\xef\xbb\xbf" + source.encode("utf-8"))
         result = run_lint(
             [str(path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         assert "RPL000" not in {v.code for v in result.violations}
         assert any(v.code == "RPL008" for v in result.violations)
@@ -216,7 +232,7 @@ class TestDecoratorSuppression:
         )
         result = run_lint(
             [str(path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         assert not any(v.code == "RPL008" for v in result.violations)
 
@@ -233,10 +249,10 @@ class TestDeepCache:
 
     def test_second_run_hits_the_cache_with_same_findings(self, tmp_path):
         pkg = self._workspace(tmp_path)
-        first = run_lint([str(pkg)], config=LintConfig(), root=tmp_path, deep=True)
+        first = run_lint([str(pkg)], config=LintConfig(), root=tmp_path)
         assert first.deep_stats["cache_hit"] is False
-        assert (tmp_path / ".replint-deep-cache.json").is_file()
-        second = run_lint([str(pkg)], config=LintConfig(), root=tmp_path, deep=True)
+        assert (tmp_path / ".replint-cache.json").is_file()
+        second = run_lint([str(pkg)], config=LintConfig(), root=tmp_path)
         assert second.deep_stats["cache_hit"] is True
         assert [v.render() for v in first.violations] == [
             v.render() for v in second.violations
@@ -244,14 +260,23 @@ class TestDeepCache:
 
     def test_edit_invalidates_the_cache(self, tmp_path):
         pkg = self._workspace(tmp_path)
-        run_lint([str(pkg)], config=LintConfig(), root=tmp_path, deep=True)
+        run_lint([str(pkg)], config=LintConfig(), root=tmp_path)
         pkg.write_text(
             "from fractions import Fraction\n"
             "x = Fraction(1, 3)\n"
         )
-        result = run_lint([str(pkg)], config=LintConfig(), root=tmp_path, deep=True)
+        result = run_lint([str(pkg)], config=LintConfig(), root=tmp_path)
         assert result.deep_stats["cache_hit"] is False
         assert not any(v.code == "RPL008" for v in result.violations)
+
+    def test_deselected_rules_build_no_graph_and_write_no_cache(self, tmp_path):
+        pkg = self._workspace(tmp_path)
+        result = run_lint(
+            [str(pkg)], config=LintConfig(select=("RPL001",)), root=tmp_path
+        )
+        assert result.clean
+        assert result.deep_stats["call_graph_edges"] == 0
+        assert not (tmp_path / ".replint-cache.json").exists()
 
 
 class TestSarifAndBaseline:
@@ -264,7 +289,7 @@ class TestSarifAndBaseline:
         )
         result = run_lint(
             [str(path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         sarif = result.to_sarif()
         assert sarif["version"] == "2.1.0"
@@ -280,7 +305,7 @@ class TestSarifAndBaseline:
         path.write_text("from fractions import Fraction\nx = Fraction(0.5)\n")
         result = run_lint(
             [str(path)], config=LintConfig(), root=tmp_path,
-            deep=True, deep_cache=False,
+            deep_cache=False,
         )
         payload = sarif_payload(result.violations, [])
         assert payload["runs"][0]["results"]
@@ -299,7 +324,7 @@ class TestObservability:
         with tracing(close=False) as tracer:
             run_lint(
                 [str(path)], config=LintConfig(), root=tmp_path,
-                deep=True, deep_cache=False,
+                deep_cache=False,
             )
         tracer.flush()  # counters aggregate until flushed
         events = tracer.sink.events

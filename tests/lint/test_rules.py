@@ -47,20 +47,6 @@ class TestRPL002UnseededRandomness:
         assert result.clean, result.violations
 
 
-class TestRPL003Exactness:
-    def test_bad_fixture_fires_per_line(self):
-        result = lint_fixture("rpl003_bad.py", "RPL003")
-        assert fired_lines(result) == [12, 13, 14]
-
-    def test_fraction_of_float_message(self):
-        result = lint_fixture("rpl003_bad.py", "RPL003")
-        assert "Fraction(<float>)" in result.violations[0].message
-
-    def test_ok_fixture_is_clean(self):
-        result = lint_fixture("rpl003_ok.py", "RPL003")
-        assert result.clean, result.violations
-
-
 class TestRPL004ApiDrift:
     def _run(self, flavour):
         config = LintConfig(

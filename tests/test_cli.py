@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,24 @@ class TestCommandSurface:
         assert exit.value.code == 2
         assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "--deep"],
+            ["lint", "--no-deep-cache"],
+            ["lint", "--select", "RPL003"],
+        ],
+    )
+    def test_retired_lint_options_are_gone(self, argv, capsys):
+        """One lint pass: no switch selects the dataflow rules, and the
+        per-file exactness rule folded into RPL008 is no longer a code."""
+        try:
+            status = main(argv)
+        except SystemExit as exit:
+            status = exit.code
+        assert status == 2
+        capsys.readouterr()
+
     _FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
     _COMMAND = r"repro(?: --trace \S+)? ([a-z][\w-]*)"
 
@@ -282,6 +301,66 @@ class TestCommandSurface:
                 if name not in COMMAND_SUMMARY:
                     unknown.setdefault(page.name, []).append(name)
         assert unknown == {}
+
+    _DOC_PAGES = ("README.md", "docs/*.md", ".claude/skills/verify/SKILL.md")
+
+    def _doc_uses(self, tool):
+        """``(page, arguments)`` for each documented ``<tool> ...`` use:
+        fenced shell lines (``$`` prompt and ``#`` comment stripped), then
+        inline code spans."""
+        root = Path(__file__).resolve().parent.parent
+        uses = []
+        for pattern in self._DOC_PAGES:
+            for page in sorted(root.glob(pattern)):
+                text = page.read_text()
+                for language, body in self._FENCE.findall(text):
+                    if language in ("bash", "console", "sh"):
+                        uses += [
+                            (page.name, args.split("#", 1)[0])
+                            for args in re.findall(
+                                rf"^\s*(?:\$\s+)?{tool}\b(.*)$", body, re.MULTILINE
+                            )
+                        ]
+                uses += [
+                    (page.name, args)
+                    for args in re.findall(rf"`{tool}\b([^`\n]*)`", text)
+                ]
+        return uses
+
+    def test_documented_lint_commands_parse(self):
+        """Every documented ``repro lint`` line parses, and every option
+        it names (synopses such as ``[--json|--select]`` included) exists."""
+        from repro.lint.engine import add_lint_arguments
+
+        parser = argparse.ArgumentParser(prog="repro lint")
+        add_lint_arguments(parser)
+        uses = self._doc_uses("repro lint")
+        assert uses
+        broken = []
+        for page, args in uses:
+            unknown = [
+                option
+                for option in re.findall(r"--[a-z][\w-]*", args)
+                if option not in parser._option_string_actions
+            ]
+            try:
+                parser.parse_args(shlex.split(args))
+            except SystemExit:
+                unknown.append("(does not parse)")
+            if unknown:
+                broken.append((page, args.strip(), unknown))
+        assert broken == []
+
+    def test_documented_make_targets_exist(self):
+        makefile = (Path(__file__).resolve().parent.parent / "Makefile").read_text()
+        targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.MULTILINE))
+        named = [
+            (page, args.split()[0])
+            for page, args in self._doc_uses("make")
+            if args.strip() and re.match(r"[a-z]", args.split()[0])
+        ]
+        assert named
+        assert [(page, name) for page, name in named if name not in targets] == []
 
 
 class TestSimulate:
