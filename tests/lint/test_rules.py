@@ -47,6 +47,40 @@ class TestRPL002UnseededRandomness:
         assert result.clean, result.violations
 
 
+class TestRPL003Exactness:
+    """The retired per-file exactness rule's cases, now reported by RPL008
+    from the flow corpus (``fixtures/flow/rpl008/taint_*``)."""
+
+    CASES = (
+        "taint_fraction_of_float.py",
+        "taint_fraction_of_float_cast.py",
+        "taint_literal_into_exact_fn.py",
+    )
+
+    def _run(self, *names):
+        paths = [str(FIXTURES / "flow" / "rpl008" / name) for name in names]
+        return run_lint(
+            paths, config=LintConfig(select=("RPL008",)), root=REPO_ROOT,
+            deep_cache=False,
+        )
+
+    def test_bad_fixture_fires_per_line(self):
+        result = self._run(*self.CASES)
+        fired = sorted(
+            (Path(v.path).name, v.line) for v in result.violations
+        )
+        assert fired == [
+            ("taint_fraction_of_float.py", 5),
+            ("taint_fraction_of_float_cast.py", 5),
+            ("taint_literal_into_exact_fn.py", 11),
+        ]
+        assert all(v.code == "RPL008" for v in result.violations)
+
+    def test_fraction_of_float_message(self):
+        result = self._run("taint_fraction_of_float.py")
+        assert "flows into Fraction()" in result.violations[0].message
+
+
 class TestRPL004ApiDrift:
     def _run(self, flavour):
         config = LintConfig(
